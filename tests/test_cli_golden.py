@@ -1,0 +1,179 @@
+"""CLI golden test: stdout bytes, stderr and exit code for a fixed argv list.
+
+tests/data/cli_golden.json records what `truncbin` printed and returned
+for every argv in CASES, with the timing values masked.  Any change to a
+report format, a message or an exit code fails here.  When such a change
+is intended, regenerate the file from the repository root and review its
+diff before committing it:
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+
+argparse wraps its usage lines to the terminal width, so every run sets
+COLUMNS; it also unsets the scan budget variable.  The file is recorded
+with CPython 3.11, and argparse's wording can differ in other versions.
+"""
+import contextlib
+import io
+import json
+import os
+import re
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from truncbin.cli import BUDGET_ENV_VAR, main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+# Values that change from run to run, and what they are replaced with.
+_TIMINGS = [
+    (re.compile(r'"(timing_ms|duration_ms|constrained_seconds|best_enumeration_seconds)": '
+                r"[-+.0-9eE]+"), r'"\1": "<t>"'),
+    (re.compile(r"# elapsed: [-+.0-9eE]+ ms"), "# elapsed: <t> ms"),
+    (re.compile(r"\([.0-9]+ ms"), "(<t> ms"),
+]
+
+_PAIR = ["--a", "1", "--b", "1"]
+_EQ3 = ["verdict", "eq3"]
+_CASE_B = ["verdict", "case-b-check"]
+_U2 = ["scan", "u2"]
+_QUAD = ["scan", "quadratic"]
+
+CASES = [
+    # compute
+    ["compute", *_PAIR, "--n", "3"],
+    ["compute", *_PAIR, "--n", "3", "--all-forms"],
+    ["compute", *_PAIR, "--n", "3", "--all-forms", "--format", "json"],
+    ["compute", *_PAIR, "--c", "4", "--n", "3"],
+    ["compute", *_PAIR, "--c", "4", "--n", "3", "--format", "json"],
+    ["compute", "--a", "-7", "--b", "12", "--n", "13", "--format", "json"],
+    ["compute", "--a", str(10**20), "--b", "3", "--n", "11", "--all-forms", "--format", "json"],
+    ["compute", *_PAIR, "--n", "9"],
+    ["compute", *_PAIR, "--n", "2", "--format", "json"],
+    ["compute", *_PAIR, "--c", "4", "--n", "15"],
+    ["compute", "--a", "one", "--b", "1", "--n", "3"],
+    ["compute", "--a", "1", "--n", "3"],
+    ["compute", *_PAIR, "--n", "3", "--format", "csv"],
+    [],
+    ["verdict"],
+    # verdict eq2
+    ["verdict", "eq2", *_PAIR, "--n", "3"],
+    ["verdict", "eq2", *_PAIR, "--n", "3", "--format", "json"],
+    ["verdict", "eq2", "--a", "3", "--b", "-3", "--n", "5"],
+    ["verdict", "eq2", "--a", "3", "--b", "-3", "--n", "5", "--format", "json"],
+    ["verdict", "eq2", "--a", "0", "--b", "0", "--n", "3", "--format", "json"],
+    ["verdict", "eq2", "--a", "5", "--b", "9", "--n", "7", "--format", "json"],
+    ["verdict", "eq2", "--a", "6", "--b", "10", "--n", "7"],
+    ["verdict", "eq2", *_PAIR, "--n", "21"],
+    # verdict eq3
+    [*_EQ3, *_PAIR, "--c", "4", "--n", "3"],
+    [*_EQ3, *_PAIR, "--c", "4", "--n", "3", "--format", "json"],
+    [*_EQ3, "--a", "2", "--b", "2", "--c", "8", "--n", "3", "--format", "json"],
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "11", "--n", "7"],
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--format", "json"],
+    [*_EQ3, *_PAIR, "--c", "-2", "--n", "3", "--format", "json"],
+    [*_EQ3, "--a", "1", "--b", "4", "--c", "9", "--n", "3"],
+    [*_EQ3, *_PAIR, "--c", "2", "--n", "3"],
+    [*_EQ3, "--a", "3", "--b", "6", "--c", "3", "--n", "3", "--format", "json"],
+    [*_EQ3, "--a", "3", "--b", "3", "--c", "1", "--n", "3"],
+    [*_EQ3, "--a", "0", "--b", "0", "--c", "0", "--n", "3"],
+    [*_EQ3, *_PAIR, "--n", "3"],
+    # verdict exponents
+    ["verdict", "exponents", "--rho-c", "1", "--n", "5"],
+    ["verdict", "exponents", "--rho-c", "3", "--n", "7", "--format", "json"],
+    ["verdict", "exponents", "--rho-c", "0", "--n", "5"],
+    ["verdict", "exponents", "--rho-c", "2", "--n", "9", "--format", "json"],
+    # verdict case-b-check
+    [*_CASE_B, "--a", "1", "--b", "80", "--c", "81", "--n", "3"],
+    [*_CASE_B, "--a", "1", "--b", "80", "--c", "81", "--n", "3", "--format", "json"],
+    [*_CASE_B, "--a", "81", "--b", "1", "--c", "80", "--n", "3", "--format", "json"],
+    [*_CASE_B, "--a", "1", "--b", "-1", "--c", "6", "--n", "3"],
+    [*_CASE_B, "--a", "1", "--b", "-1", "--c", "6", "--n", "3", "--format", "json"],
+    [*_CASE_B, "--a", "2", "--b", "2", "--c", "8", "--n", "3"],
+    [*_CASE_B, *_PAIR, "--c", "4", "--n", "9"],
+    # scan u2
+    [*_U2, "--n", "7", "--k", "2", "--case-a"],
+    [*_U2, "--n", "7", "--k", "2", "--case-a", "--format", "json"],
+    [*_U2, "--n", "7", "--k", "2", "--case-a", "--format", "csv"],
+    [*_U2, "--n", "5", "--k", "2"],
+    [*_U2, "--n", "5", "--k", "2", "--format", "json"],
+    [*_U2, "--n", "5", "--k", "2", "--format", "csv"],
+    [*_U2, "--n", "5", "--k", "1", "--forbid-a", "--format", "json"],
+    [*_U2, "--n", "5", "--k", "1", "--forbid-b", "--format", "csv"],
+    [*_U2, "--n", "5", "--k", "1", "--forbid-sum"],
+    [*_U2, "--n", "5", "--k", "2", "--case-a", "--forbid-a", "--workers", "2", "--format", "json"],
+    [*_U2, "--n", "11", "--k", "2", "--case-a", "--expect-empty"],
+    [*_U2, "--n", "11", "--k", "2", "--case-a", "--expect-empty", "--format", "json"],
+    [*_U2, "--n", "7", "--k", "2", "--case-a", "--expect-empty"],
+    [*_U2, "--n", "7", "--k", "2", "--case-a", "--expect-empty", "--format", "json"],
+    [*_U2, "--n", "7", "--k", "1", "--case-a", "--expect-empty", "--format", "csv"],
+    [*_U2, "--n", "13", "--k", "2", "--budget", "100"],
+    [*_U2, "--n", "13", "--k", "2", "--budget", "100", "--format", "json"],
+    [*_U2, "--n", "3", "--k", "1", "--budget", "0", "--expect-empty"],
+    [*_U2, "--n", "13", "--k", "2", "--budget", "28561", "--case-a", "--expect-empty"],
+    [*_U2, "--n", "7", "--k", "0"],
+    [*_U2, "--n", "7"],
+    # scan quadratic
+    [*_QUAD, "--n", "7"],
+    [*_QUAD, "--n", "7", "--format", "json"],
+    [*_QUAD, "--n", "7", "--format", "csv"],
+    [*_QUAD, "--n", "5", "--format", "json"],
+    [*_QUAD, "--n", "5", "--format", "csv"],
+    [*_QUAD, "--n", "3", "--expect-empty"],
+    [*_QUAD, "--n", "5", "--expect-empty"],
+    [*_QUAD, "--n", "7", "--expect-empty", "--format", "csv"],
+    # verify
+    ["verify"],
+    ["verify", "--quick", "--format", "json"],
+    ["verify", "--quick", "--claim", "II.12"],
+    ["verify", "--claim", "II.9", "--claim", "II.7"],
+    ["verify", "--claim", "II.A4", "--claim", "II.7", "--format", "json"],
+    ["verify", "--claim", "II.A", "--seed", "7", "--format", "json"],
+    ["verify", "--claim", "XX.1"],
+    ["verify", "--quick", "--full"],
+    ["verify", "--format", "csv"],
+]
+
+
+def mask(text: str) -> str:
+    for pattern, replacement in _TIMINGS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def run(argv: list[str]) -> dict:
+    """One CLI call in-process: its argv, exit code and masked output."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop(BUDGET_ENV_VAR, None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return {"argv": argv, "exit": code, "stdout": mask(out.getvalue()),
+            "stderr": mask(err.getvalue())}
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    with open(GOLDEN) as fh:
+        return {" ".join(case["argv"]): case for case in json.load(fh)}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_cli_output_matches_golden(argv, recorded):
+    assert run(argv) == recorded[" ".join(argv)]
+
+
+def test_golden_covers_every_exit_code_but_verify_failure(recorded):
+    assert {case["exit"] for case in recorded.values()} == {0, 2, 3, 4, 5}
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    cases = [run(argv) for argv in CASES]
+    with open(GOLDEN, "w") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
