@@ -21,18 +21,26 @@ from .errors import DomainError, PreconditionError
 # The three equivalent summation forms of U(a, b); see truncated2_series.
 SERIES_FORMS = ("mixed", "q_minus_a", "q_minus_b")
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide primality exactly
+# below _PSI_13, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all machine-size integers.
+    """Deterministic Miller-Rabin, exact for every n < 3317044064679887385961981.
 
-    The fixed witness set is known to be correct for every n < 3.3e24,
-    which covers anything that fits in 64 bits.
+    That bound, about 3.3e24, covers anything that fits in 64 bits.  Larger
+    n are refused with DomainError rather than guessed.
     """
     if n < 2:
         return False
+    if n >= _PSI_13:
+        raise DomainError(
+            f"primality is only decided below {_PSI_13}, got a {n.bit_length()}-bit number"
+        )
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -54,10 +62,9 @@ def is_prime(n: int) -> bool:
 
 
 def _validate_exponent(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"exponent must be an int, got {type(n).__name__}")
-    if n < 3 or not is_prime(n):
-        raise DomainError(f"exponent must be a prime >= 3, got {n}")
+    """Every exponent and valuation base of the toolkit is an int prime >= 3."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 3 or not is_prime(n):
+        raise DomainError(f"exponent must be a prime >= 3, got {n!r}")
 
 
 def _validate_int(name: str, value) -> None:

@@ -83,34 +83,34 @@ def _shared_pairs(seed, count):
     return pairs[:count]
 
 
-def _random_triples(rng, count, bound=PAIR_BOUND):
+def _random_triples(rng, count):
     return [
         (
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
-            rng.randint(-bound, bound),
+            rng.randint(-PAIR_BOUND, PAIR_BOUND),
+            rng.randint(-PAIR_BOUND, PAIR_BOUND),
+            rng.randint(-PAIR_BOUND, PAIR_BOUND),
         )
         for _ in range(count)
     ]
 
 
-def _triples_with_divisible_sum(rng, count, n, bound=PAIR_BOUND):
+def _triples_with_divisible_sum(rng, count, n):
     """Random (a, b, c) with 2n | a+b+c, the domain of the factored forms."""
     out = []
     for _ in range(count):
-        a = rng.randint(-bound, bound)
-        b = rng.randint(-bound, bound)
-        t = rng.randint(-bound // (2 * n), bound // (2 * n))
+        a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+        b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
         out.append((a, b, 2 * n * t - a - b))
     return out
 
 
-def _sample_case_a_triple(rng, n, bound=PAIR_BOUND):
+def _sample_case_a_triple(rng, n):
     """A coprime triple with 2n | a+b+c, exactly one even, none divisible by n."""
     while True:
-        a = rng.randint(-bound, bound)
-        b = rng.randint(-bound, bound)
-        t = rng.randint(-bound // (2 * n), bound // (2 * n))
+        a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+        b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
         c = 2 * n * t - a - b
         if a % n == 0 or b % n == 0 or c % n == 0:
             continue
@@ -121,14 +121,14 @@ def _sample_case_a_triple(rng, n, bound=PAIR_BOUND):
         return TrinomialTriple(a, b, c, n)
 
 
-def _sample_case_a_quad_divisible(rng, zero_pairs, bound=PAIR_BOUND):
+def _sample_case_a_quad_divisible(rng, zero_pairs):
     """Case-A triple for n = 7 whose (a^2 + ab + b^2) is divisible by 7."""
     n = 7
     while True:
         da, db = rng.choice(zero_pairs)
-        a = da + n * rng.randint(-bound // n, bound // n)
-        b = db + n * rng.randint(-bound // n, bound // n)
-        t = rng.randint(-bound // (2 * n), bound // (2 * n))
+        a = da + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
+        b = db + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
+        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
         c = 2 * n * t - a - b
         if c % n == 0:
             continue

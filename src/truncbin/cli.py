@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .binomial_core import (
+    SERIES_FORMS,
     BinomialPair,
     TrinomialTriple,
     gcd_normalize,
@@ -34,7 +35,7 @@ from .binomial_core import (
     truncated2_series,
     truncated3,
 )
-from .claims import DEFAULT_SEED, FULL, QUICK, format_claim_line, run_claims
+from .claims import DEFAULT_SEED, FULL, QUICK, ClaimResult, format_claim_line, run_claims
 from .compatibility import (
     VerdictKind,
     binomial_equation_verdict,
@@ -50,7 +51,7 @@ from .residue_scan import (
     scan_divisibility,
     scan_quadratic,
 )
-from .valuation import Valuation
+from .valuation import INFINITE, Valuation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -59,13 +60,23 @@ EXIT_PRECONDITION = 3
 EXIT_EXPECTATION = 4
 EXIT_BUDGET = 5
 
+# Library errors and their exit codes; a subclass maps like its base.
+_ERROR_EXITS = {
+    ScanBudgetError: EXIT_BUDGET,
+    PreconditionError: EXIT_PRECONDITION,
+    DomainError: EXIT_VALIDATION,
+}
+
 BUDGET_ENV_VAR = "SCAN_BUDGET_CELLS"
 
+FORMATS = ["text", "json"]
+# What --expect-empty counts, by scan.
+_FOUND = {"scan u2": "witnesses", "scan quadratic": "zero pairs"}
 
-def _exponent_jsonable(exponent):
-    if isinstance(exponent, float) and math.isinf(exponent):
-        return "infinite"
-    return exponent
+
+def _exponent(exponent):
+    """An n-adic exponent: an int, or "infinite" for the valuation of zero."""
+    return "infinite" if exponent == INFINITE else exponent
 
 
 def _jsonable(value):
@@ -75,16 +86,12 @@ def _jsonable(value):
     if isinstance(value, Valuation):
         return {
             "base": value.base,
-            "exponent": _exponent_jsonable(value.exponent),
+            "exponent": _exponent(value.exponent),
             "cofactor": str(value.cofactor),
         }
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    if isinstance(value, float) and math.isinf(value):
-        return "infinite"
-    return value
+    return _exponent(value)
 
 
 def _verdict_payload(verdict):
@@ -104,36 +111,62 @@ def _print_text_block(payload, indent=""):
             print(f"{indent}{key}: {value}")
 
 
-def _emit(args, command, inputs, payload, started, csv_rows=None):
-    timing_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+def _print_claims(payload, timing_ms):
+    """The text form of verify: one line per claim, then a summary."""
+    results = payload["results"]
+    for row in results:
+        print(format_claim_line(ClaimResult(**row)))
+    failed = [row["code"] for row in results if not row["passed"]]
+    if failed:
+        summary = f"{len(failed)} claim(s) failed: {', '.join(failed)}"
+    else:
+        summary = f"all {len(results)} claims passed"
+    print(f"# {summary} ({timing_ms:.0f} ms total)")
+
+
+def _emit(args, inputs, payload, csv_rows, seconds):
+    timing_ms = round(seconds * 1000.0, 3)
+    if args.format == "json":
         envelope = {
-            "command": command,
+            "command": args.name,
             "inputs": inputs,
             "result": payload,
             "timing_ms": timing_ms,
         }
         print(json.dumps(envelope, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "k", "a_res", "b_res"])
-        for row in csv_rows or []:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
+    elif args.name == "verify":
+        _print_claims(payload, timing_ms)
     else:
-        print(f"# {command}")
+        print(f"# {args.name}")
         _print_text_block(payload)
         print(f"# elapsed: {timing_ms} ms")
 
 
+def _echo(args):
+    """The operands as given; a, b and c, of unbounded size, as decimal strings."""
+    return {
+        name: str(value) if name in ("a", "b", "c") else value
+        for name in args.operands
+        if (value := getattr(args, name)) is not None
+    }
+
+
+def _normalized_triple(args):
+    """(a, b, c) divided by their gcd, as a triple; and the gcd."""
+    (a, b, c), g = gcd_normalize([args.a, args.b, args.c])
+    return TrinomialTriple(a, b, c, args.n), g
+
+
 # ---------------------------------------------------------------------------
-# compute
+# commands: each returns the echoed inputs, the result payload and the CSV
+# rows (or None); main prints them.
 
 def cmd_compute(args):
-    started = time.perf_counter()
-    inputs = {"a": str(args.a), "b": str(args.b), "n": args.n}
     if args.c is not None:
-        inputs["c"] = str(args.c)
         t = TrinomialTriple(args.a, args.b, args.c, args.n)
         payload = {
             "u": str(truncated3(t)),
@@ -145,113 +178,72 @@ def cmd_compute(args):
         u = truncated2_direct(p)
         payload = {"u": str(u)}
         if args.all_forms:
-            payload["forms"] = {
-                "direct": str(u),
-                "mixed": str(truncated2_series(p, "mixed")),
-                "q_minus_a": str(truncated2_series(p, "q_minus_a")),
-                "q_minus_b": str(truncated2_series(p, "q_minus_b")),
-            }
-    _emit(args, "compute", inputs, payload, started)
-    return EXIT_OK
+            payload["forms"] = {"direct": str(u)}
+            for form in SERIES_FORMS:
+                payload["forms"][form] = str(truncated2_series(p, form))
+    return _echo(args), payload, None
 
-
-# ---------------------------------------------------------------------------
-# verdict
 
 def cmd_verdict_eq2(args):
-    started = time.perf_counter()
-    inputs = {"a": str(args.a), "b": str(args.b), "n": args.n}
     pair = BinomialPair(args.a, args.b, args.n)
     payload = _verdict_payload(binomial_equation_verdict(pair))
     if (args.a, args.b) != (0, 0):
         report = necessary_conditions_2(pair)
-        payload["conditions"] = {
-            "coprime_after_normalization": report.coprime_after_normalization,
-            "parity_class": report.parity_class,
-            "q_div_2n": report.q_div_2n,
-            "beta": None if report.beta is None else str(report.beta),
-        }
-    _emit(args, "verdict eq2", inputs, payload, started)
-    return EXIT_OK
+        beta = None if report.beta is None else str(report.beta)
+        payload["conditions"] = dict(asdict(report), beta=beta)
+    return _echo(args), payload, None
 
 
 def cmd_verdict_eq3(args):
-    started = time.perf_counter()
-    inputs = {"a": str(args.a), "b": str(args.b), "c": str(args.c), "n": args.n}
-    normalized, g = gcd_normalize([args.a, args.b, args.c])
-    t = TrinomialTriple(normalized[0], normalized[1], normalized[2], args.n)
+    t, g = _normalized_triple(args)
     payload = _verdict_payload(case_A_verdict(t))
-    payload["normalized"] = [str(v) for v in normalized]
+    payload["normalized"] = [str(t.a), str(t.b), str(t.c)]
     payload["gcd_removed"] = str(g)
-    _emit(args, "verdict eq3", inputs, payload, started)
-    return EXIT_OK
+    return _echo(args), payload, None
 
 
 def cmd_verdict_exponents(args):
-    started = time.perf_counter()
-    inputs = {"rho_c": args.rho_c, "n": args.n}
-    profile = case_B_exponents(args.rho_c, args.n)
-    payload = {
-        "rho_c": profile.rho_c,
-        "rho_beta": profile.rho_beta,
-        "rho_q": profile.rho_q,
-    }
-    _emit(args, "verdict exponents", inputs, payload, started)
-    return EXIT_OK
+    return _echo(args), asdict(case_B_exponents(args.rho_c, args.n)), None
 
 
 def cmd_verdict_case_b_check(args):
-    started = time.perf_counter()
-    inputs = {"a": str(args.a), "b": str(args.b), "c": str(args.c), "n": args.n}
-    normalized, g = gcd_normalize([args.a, args.b, args.c])
-    t = TrinomialTriple(normalized[0], normalized[1], normalized[2], args.n)
+    t, g = _normalized_triple(args)
     report = case_B_consistency_check(t)
     payload = {
         "relabeled": {"a": str(report.a), "b": str(report.b), "c": str(report.c)},
         "gcd_removed": str(g),
         "observed": {
-            "rho_c": _exponent_jsonable(report.rho_c),
+            "rho_c": _exponent(report.rho_c),
             "c0": str(report.c0),
-            "rho_q": _exponent_jsonable(report.rho_q),
+            "rho_q": _exponent(report.rho_q),
             "q0": str(report.q0),
-            "rho_beta": _exponent_jsonable(report.rho_beta),
+            "rho_beta": _exponent(report.rho_beta),
             "beta0": str(report.beta0),
         },
-        "expected": {
-            "rho_c": report.expected.rho_c,
-            "rho_beta": report.expected.rho_beta,
-            "rho_q": report.expected.rho_q,
-        },
+        "expected": asdict(report.expected),
         "rho_q_matches": report.rho_q_matches,
         "rho_beta_matches": report.rho_beta_matches,
-        "u_ab_valuation": _exponent_jsonable(report.u_ab_valuation),
-        "u_ab_expected": _exponent_jsonable(report.u_ab_expected),
+        "u_ab_valuation": _exponent(report.u_ab_valuation),
+        "u_ab_expected": _exponent(report.u_ab_expected),
         "u_ab_matches": report.u_ab_matches,
-        "u_qc_valuation": _exponent_jsonable(report.u_qc_valuation),
-        "u_qc_expected": _exponent_jsonable(report.u_qc_expected),
+        "u_qc_valuation": _exponent(report.u_qc_valuation),
+        "u_qc_expected": _exponent(report.u_qc_expected),
         "u_qc_matches": report.u_qc_matches,
     }
-    _emit(args, "verdict case-b-check", inputs, payload, started)
-    return EXIT_OK
+    return _echo(args), payload, None
 
-
-# ---------------------------------------------------------------------------
-# scan
 
 def _resolve_budget(args):
     if args.budget is not None:
         return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_CELL_BUDGET
+    env = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
 
 
 def cmd_scan_u2(args):
-    started = time.perf_counter()
     if args.case_a:
         constraints = ScanConstraints.case_a()
     else:
@@ -260,13 +252,12 @@ def cmd_scan_u2(args):
             forbid_b_zero=args.forbid_b,
             forbid_sum_zero_mod_n=args.forbid_sum,
         )
-    inputs = {
-        "n": args.n,
-        "k": args.k,
-        "constraints": constraints.to_jsonable(),
-        "workers": args.workers,
-        "expect_empty": args.expect_empty,
-    }
+    inputs = dict(
+        _echo(args),
+        constraints=constraints.to_jsonable(),
+        workers=args.workers,
+        expect_empty=args.expect_empty,
+    )
     report = scan_divisibility(
         args.n,
         args.k,
@@ -274,79 +265,55 @@ def cmd_scan_u2(args):
         workers=args.workers,
         cell_budget=_resolve_budget(args),
     )
-    payload = report.to_jsonable()
     csv_rows = [[report.n, report.power_k, a, b] for a, b in report.witnesses]
-    _emit(args, "scan u2", inputs, payload, started, csv_rows=csv_rows)
-    if args.expect_empty and report.witnesses:
-        print(
-            f"expectation violated: {len(report.witnesses)} witnesses found",
-            file=sys.stderr,
-        )
-        return EXIT_EXPECTATION
-    return EXIT_OK
+    return inputs, report.to_jsonable(), csv_rows
 
 
 def cmd_scan_quadratic(args):
-    started = time.perf_counter()
-    inputs = {"n": args.n}
     report = scan_quadratic(args.n)
-    payload = report.to_jsonable()
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
     csv_rows = [[report.n, 1, a, b] for a, b in report.zero_pairs]
-    _emit(args, "scan quadratic", inputs, payload, started, csv_rows=csv_rows)
-    if getattr(args, "expect_empty", False) and report.zero_pairs:
-        print(
-            f"expectation violated: {len(report.zero_pairs)} zero pairs found",
-            file=sys.stderr,
-        )
-        return EXIT_EXPECTATION
-    return EXIT_OK
+    return _echo(args), report.to_jsonable(), csv_rows
 
-
-# ---------------------------------------------------------------------------
-# verify
 
 def cmd_verify(args):
-    started = time.perf_counter()
     scale = FULL if args.full else QUICK
-    codes = args.claim if args.claim else None
-    inputs = {
-        "scale": scale.name,
-        "seed": args.seed,
-        "claims": list(codes) if codes else "all",
+    inputs = {"scale": scale.name, "seed": args.seed, "claims": args.claim or "all"}
+    results = run_claims(codes=args.claim, scale=scale, seed=args.seed)
+    payload = {
+        "all_passed": all(r.passed for r in results),
+        "results": [
+            dict(asdict(r), duration_ms=round(r.duration_ms, 3)) for r in results
+        ],
     }
-    results = run_claims(codes=codes, scale=scale, seed=args.seed)
-    all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {
-            "all_passed": all_passed,
-            "results": [
-                {
-                    "code": r.code,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "duration_ms": round(r.duration_ms, 3),
-                    "details": r.details,
-                }
-                for r in results
-            ],
-        }
-        _emit(args, "verify", inputs, payload, started)
-    else:
-        for r in results:
-            print(format_claim_line(r))
-        failed = [r.code for r in results if not r.passed]
-        total_ms = (time.perf_counter() - started) * 1000.0
-        if failed:
-            print(f"# {len(failed)} claim(s) failed: {', '.join(failed)} "
-                  f"({total_ms:.0f} ms total)")
-        else:
-            print(f"# all {len(results)} claims passed ({total_ms:.0f} ms total)")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return inputs, payload, None
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _flag(help):
+    return {"action": "store_true", "help": help}
+
+
+def _command(parser, func, operands="", formats=FORMATS, **options):
+    """Declare a subcommand: --x for each word x of operands, options, --format.
+
+    Operands are ints, required unless the word ends in "?".  The inputs
+    echo lists the required operands in declaration order, then the
+    optional ones that were given.
+    """
+    operands = {word.rstrip("?"): not word.endswith("?") for word in operands.split()}
+    for dest, required in operands.items():
+        hint = "prime exponent >= 3" if dest == "n" else None
+        parser.add_argument(f"--{dest}".replace("_", "-"), type=int, required=required, help=hint)
+    for dest, kwargs in options.items():
+        parser.add_argument(f"--{dest}".replace("_", "-"), **kwargs)
+    parser.add_argument("--format", choices=formats, default="text")
+    name = parser.prog.split(" ", 1)[1]  # "verdict eq2" from "truncbin verdict eq2"
+    echo = sorted(operands, key=lambda dest: not operands[dest])
+    parser.set_defaults(func=func, name=name, operands=echo)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -354,126 +321,78 @@ def build_parser():
         description="Exact divisibility analysis of truncated Newton binomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, with_csv=False):
-        choices = ["text", "json", "csv"] if with_csv else ["text", "json"]
-        p.add_argument("--format", choices=choices, default="text")
-
-    p_compute = sub.add_parser("compute", help="evaluate U for a pair or triple")
-    p_compute.add_argument("--a", type=int, required=True)
-    p_compute.add_argument("--b", type=int, required=True)
-    p_compute.add_argument("--c", type=int, default=None)
-    p_compute.add_argument("--n", type=int, required=True, help="prime exponent >= 3")
-    p_compute.add_argument(
-        "--all-forms", action="store_true", help="also print the three series forms"
+    _command(
+        sub.add_parser("compute", help="evaluate U for a pair or triple"),
+        cmd_compute,
+        "a b c? n",
+        all_forms=_flag("also print the three series forms"),
     )
-    add_format(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
 
-    p_verdict = sub.add_parser("verdict", help="compatibility decisions")
-    verdict_sub = p_verdict.add_subparsers(dest="which", required=True)
+    verdict = sub.add_parser("verdict", help="compatibility decisions")
+    verdict = verdict.add_subparsers(dest="which", required=True)
+    for name, func, summary, operands in (
+        ("eq2", cmd_verdict_eq2, "two-integer equation verdict", "a b n"),
+        ("eq3", cmd_verdict_eq3, "three-integer Case-A verdict", "a b c n"),
+        ("exponents", cmd_verdict_exponents, "Case-B exponent algebra", "rho_c n"),
+        ("case-b-check", cmd_verdict_case_b_check,
+         "check a Case-B triple against the exponent algebra", "a b c n"),
+    ):
+        _command(verdict.add_parser(name, help=summary), func, operands)
 
-    p_eq2 = verdict_sub.add_parser("eq2", help="two-integer equation verdict")
-    p_eq2.add_argument("--a", type=int, required=True)
-    p_eq2.add_argument("--b", type=int, required=True)
-    p_eq2.add_argument("--n", type=int, required=True)
-    add_format(p_eq2)
-    p_eq2.set_defaults(func=cmd_verdict_eq2)
-
-    p_eq3 = verdict_sub.add_parser("eq3", help="three-integer Case-A verdict")
-    p_eq3.add_argument("--a", type=int, required=True)
-    p_eq3.add_argument("--b", type=int, required=True)
-    p_eq3.add_argument("--c", type=int, required=True)
-    p_eq3.add_argument("--n", type=int, required=True)
-    add_format(p_eq3)
-    p_eq3.set_defaults(func=cmd_verdict_eq3)
-
-    p_exp = verdict_sub.add_parser("exponents", help="Case-B exponent algebra")
-    p_exp.add_argument("--rho-c", dest="rho_c", type=int, required=True)
-    p_exp.add_argument("--n", type=int, required=True)
-    add_format(p_exp)
-    p_exp.set_defaults(func=cmd_verdict_exponents)
-
-    p_bcheck = verdict_sub.add_parser(
-        "case-b-check", help="check a Case-B triple against the exponent algebra"
+    scan = sub.add_parser("scan", help="exhaustive residue scans")
+    scan = scan.add_subparsers(dest="which", required=True)
+    _command(
+        scan.add_parser("u2", help="scan U(a, b) mod n^k over the full grid"),
+        cmd_scan_u2,
+        "n k",
+        FORMATS + ["csv"],
+        case_a=_flag("restrict to a, b, a+b all prime to n"),
+        forbid_a=_flag("exclude a = 0 (mod n)"),
+        forbid_b=_flag("exclude b = 0 (mod n)"),
+        forbid_sum=_flag("exclude a+b = 0 (mod n)"),
+        workers={"type": int, "default": 1},
+        budget={
+            "type": int,
+            "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})",
+        },
+        expect_empty=_flag("exit 4 if any witness is found"),
     )
-    p_bcheck.add_argument("--a", type=int, required=True)
-    p_bcheck.add_argument("--b", type=int, required=True)
-    p_bcheck.add_argument("--c", type=int, required=True)
-    p_bcheck.add_argument("--n", type=int, required=True)
-    add_format(p_bcheck)
-    p_bcheck.set_defaults(func=cmd_verdict_case_b_check)
+    _command(
+        scan.add_parser("quadratic", help="zero set of (da^2 + da*db + db^2) mod n"),
+        cmd_scan_quadratic,
+        "n",
+        FORMATS + ["csv"],
+        expect_empty=_flag("exit 4 if any zero pair is found"),
+    )
 
-    p_scan = sub.add_parser("scan", help="exhaustive residue scans")
-    scan_sub = p_scan.add_subparsers(dest="which", required=True)
-
-    p_u2 = scan_sub.add_parser("u2", help="scan U(a, b) mod n^k over the full grid")
-    p_u2.add_argument("--n", type=int, required=True)
-    p_u2.add_argument("--k", type=int, required=True)
-    p_u2.add_argument(
-        "--case-a",
-        action="store_true",
-        help="restrict to a, b, a+b all prime to n",
+    p = sub.add_parser("verify", help="rerun the whole claim catalog")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--quick", **_flag("reduced samples (default)"))
+    mode.add_argument("--full", **_flag("full-scale samples"))
+    _command(
+        p,
+        cmd_verify,
+        claim={"action": "append", "metavar": "CODE", "help": "run only this claim (repeatable)"},
+        seed={"type": int, "default": DEFAULT_SEED},
     )
-    p_u2.add_argument("--forbid-a", action="store_true", help="exclude a = 0 (mod n)")
-    p_u2.add_argument("--forbid-b", action="store_true", help="exclude b = 0 (mod n)")
-    p_u2.add_argument(
-        "--forbid-sum", action="store_true", help="exclude a+b = 0 (mod n)"
-    )
-    p_u2.add_argument("--workers", type=int, default=1)
-    p_u2.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})",
-    )
-    p_u2.add_argument(
-        "--expect-empty",
-        action="store_true",
-        help="exit 4 if any witness is found",
-    )
-    add_format(p_u2, with_csv=True)
-    p_u2.set_defaults(func=cmd_scan_u2)
-
-    p_quad = scan_sub.add_parser(
-        "quadratic", help="zero set of (da^2 + da*db + db^2) mod n"
-    )
-    p_quad.add_argument("--n", type=int, required=True)
-    p_quad.add_argument("--expect-empty", action="store_true")
-    add_format(p_quad, with_csv=True)
-    p_quad.set_defaults(func=cmd_scan_quadratic)
-
-    p_verify = sub.add_parser("verify", help="rerun the whole claim catalog")
-    mode = p_verify.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", help="reduced samples (default)")
-    mode.add_argument("--full", action="store_true", help="full-scale samples")
-    p_verify.add_argument(
-        "--claim",
-        action="append",
-        metavar="CODE",
-        help="run only this claim (repeatable)",
-    )
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ScanBudgetError as exc:
+        inputs, payload, csv_rows = args.func(args)
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
+    _emit(args, inputs, payload, csv_rows, time.perf_counter() - started)
+    if not payload.get("all_passed", True):  # only verify reports all_passed
+        return EXIT_VERIFY_FAILED
+    if getattr(args, "expect_empty", False) and csv_rows:
+        print(f"expectation violated: {len(csv_rows)} {_FOUND[args.name]} found", file=sys.stderr)
+        return EXIT_EXPECTATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

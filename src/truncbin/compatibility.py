@@ -32,11 +32,11 @@ from typing import Optional
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _validate_exponent,
     gcd_normalize,
-    is_prime,
     truncated2_direct,
 )
-from .errors import DomainError, InconsistentCaseError, PreconditionError
+from .errors import InconsistentCaseError, PreconditionError
 from .valuation import padic_valuation
 
 PARITY_BOTH_ODD = "both-odd"
@@ -295,8 +295,7 @@ def case_B_exponents(rho_c: int, n: int) -> ExponentProfile:
 
     The relations only hold for rho_c >= 1, so rho_c = 0 is rejected.
     """
-    if not isinstance(n, int) or not is_prime(n) or n < 3:
-        raise DomainError(f"exponent must be a prime >= 3, got {n}")
+    _validate_exponent(n)
     if not isinstance(rho_c, int) or rho_c < 1:
         raise PreconditionError(
             f"exponent relations require rho_c >= 1, got {rho_c}"

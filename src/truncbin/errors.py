@@ -23,12 +23,21 @@ class InconsistentCaseError(PreconditionError):
 
 
 class ScanBudgetError(RuntimeError):
-    """A residue scan would touch more grid cells than the configured cap."""
+    """A residue scan of n**(2k) grid cells exceeds the configured cap."""
 
-    def __init__(self, required_cells: int, budget: int):
-        self.required_cells = required_cells
+    def __init__(self, n: int, k: int, budget: int):
+        self.n = n
+        self.k = k
         self.budget = budget
+        # Past 2**256 the count is written as the power n^2k: a grid that
+        # large is refused without building it, and its decimal can run
+        # past the digits Python converts to a string.
+        cells = f"{n}^{2 * k}" if 2 * k * n.bit_length() > 256 else self.required_cells
         super().__init__(
-            f"scan needs {required_cells} cells but the budget is {budget}; "
-            f"raise the cap to at least {required_cells} to run it"
+            f"scan needs {cells} cells but the budget is {budget}; "
+            f"raise the cap to at least {cells} to run it"
         )
+
+    @property
+    def required_cells(self) -> int:
+        return self.n ** (2 * self.k)

@@ -15,11 +15,12 @@ count yields a bit-identical report.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .binomial_core import is_prime
+from .binomial_core import _validate_exponent
 from .errors import DomainError, ScanBudgetError
 
 # Default cap on full-grid cells (n**2k); keeps k = 2 scans feasible
@@ -175,19 +176,20 @@ def scan_divisibility(
     """Enumerate all residue pairs mod n**k and record where n**k | U(a, b).
 
     The full grid holds n**(2k) cells; scans above cell_budget are refused
-    up front.  workers > 1 splits the grid into contiguous row bands
-    handled by separate processes; the report is identical for any count.
+    up front.  workers > 1 splits the grid into that many contiguous row
+    bands, handled by at most one process per CPU; the report is identical
+    for any count.
     """
-    if not is_prime(n) or n < 3:
-        raise DomainError(f"scan exponent must be a prime >= 3, got {n}")
+    _validate_exponent(n)
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     constraints = constraints if constraints is not None else ScanConstraints.none()
 
+    # n**(2k) >= 2**(2k * (bits(n) - 1)), so a grid that this bound already
+    # puts over the budget is refused before any power of n is built.
+    if 2 * k * (n.bit_length() - 1) >= cell_budget.bit_length() or n ** (2 * k) > cell_budget:
+        raise ScanBudgetError(n, k, cell_budget)
     m = n**k
-    total_cells = m * m
-    if total_cells > cell_budget:
-        raise ScanBudgetError(required_cells=total_cells, budget=cell_budget)
 
     flags = (
         constraints.forbid_a_zero,
@@ -202,7 +204,8 @@ def scan_divisibility(
             (n, m, start, min(start + band_size, m), *flags)
             for start in range(0, m, band_size)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, len(bands), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             band_results = list(pool.map(_scan_band, bands))
 
     witnesses: list[tuple[int, int]] = []
@@ -224,8 +227,7 @@ def scan_divisibility(
 
 def scan_quadratic(n: int) -> QuadraticScanReport:
     """Exhaust (da^2 + da*db + db^2) mod n over the (n-1)^2 nonzero residues."""
-    if not is_prime(n) or n < 3:
-        raise DomainError(f"scan exponent must be a prime >= 3, got {n}")
+    _validate_exponent(n)
     zeros_sum_n = []
     zeros_other = []
     for da in range(1, n):
@@ -240,11 +242,10 @@ def scan_quadratic(n: int) -> QuadraticScanReport:
     )
 
 
-def timed_scan_quadratic(n: int, repeats: int = 3) -> tuple[QuadraticScanReport, float]:
-    """scan_quadratic plus its best-of-N wall time in seconds."""
+def timed_scan_quadratic(n: int) -> tuple[QuadraticScanReport, float]:
+    """scan_quadratic plus its best-of-3 wall time in seconds."""
     best = float("inf")
-    report = None
-    for _ in range(max(1, repeats)):
+    for _ in range(3):
         start = time.perf_counter()
         report = scan_quadratic(n)
         best = min(best, time.perf_counter() - start)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .binomial_core import BinomialPair, TrinomialTriple, is_prime
+from .binomial_core import BinomialPair, TrinomialTriple, _validate_exponent
 from .errors import DomainError, PreconditionError
 
 # Exponent of the valuation of zero: 0 is divisible by every power.
@@ -75,8 +75,7 @@ def padic_valuation(x: int, p: int) -> Valuation:
 
     padic_valuation(18, 3) -> 2 with cofactor 2; zero maps to INFINITE.
     """
-    if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"valuation base must be an odd prime, got {p}")
+    _validate_exponent(p)
     if x == 0:
         return Valuation(base=p, exponent=INFINITE, cofactor=0)
     k = 0

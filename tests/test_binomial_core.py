@@ -16,8 +16,12 @@ from truncbin import (
     PreconditionError,
     TrinomialTriple,
     binom_coeff,
+    case_B_exponents,
     gcd_normalize,
     is_prime,
+    padic_valuation,
+    scan_divisibility,
+    scan_quadratic,
     truncated2_direct,
     truncated2_series,
     truncated3,
@@ -87,12 +91,34 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == sieve[n], n
 
 
-@pytest.mark.parametrize("bad_n", [1, 2, 4, 9, 15, 21, 0, -7])
+# The strong pseudoprimes to the first 12 and 13 prime bases
+# (Sorenson and Webster, 2015).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi12_and_refuses_psi13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(DomainError, match="primality"):
+        is_prime(PSI_13)
+
+
+@pytest.mark.parametrize("bad_n", [1, 2, 4, 9, 15, 21, 0, -7, 7.0, True, PSI_12])
 def test_pair_rejects_bad_exponent(bad_n):
     with pytest.raises(DomainError):
         BinomialPair(1, 2, bad_n)
     with pytest.raises(DomainError):
         TrinomialTriple(1, 2, 3, bad_n)
+    # Every other entry point that takes an exponent shares the check.
+    for call in (
+        lambda: scan_divisibility(bad_n, 2),
+        lambda: scan_quadratic(bad_n),
+        lambda: padic_valuation(18, bad_n),
+        lambda: case_B_exponents(1, bad_n),
+    ):
+        with pytest.raises(DomainError, match="prime"):
+            call()
 
 
 def test_pair_rejects_non_integers():

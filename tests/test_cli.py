@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import truncbin.residue_scan as residue_scan
 from truncbin import ScanConstraints, scan_divisibility
 from truncbin.cli import main
 
@@ -70,6 +71,16 @@ def test_compute_huge_values_survive_json(capsys):
 
 def test_compute_rejects_composite_exponent(capsys):
     code, _, err = run_cli(capsys, "compute", "--a", "1", "--b", "1", "--n", "9")
+    assert code == 2
+    assert "prime" in err
+
+
+def test_compute_rejects_strong_pseudoprime_exponent(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the
+    # Miller-Rabin test to every prime base up to 37.
+    code, _, err = run_cli(
+        capsys, "compute", "--a", "1", "--b", "1", "--n", "318665857834031151167461"
+    )
     assert code == 2
     assert "prime" in err
 
@@ -221,6 +232,29 @@ def test_scan_budget_flag(capsys):
     )
     assert code == 5
     assert "budget" in err
+
+
+def test_scan_far_over_budget_exits_5(capsys):
+    code, _, err = run_cli(capsys, "scan", "u2", "--n", "3", "--k", "20000")
+    assert code == 5
+    assert "3^40000" in err
+
+
+def test_scan_rejects_composite_exponent(capsys):
+    for which in (["u2", "--k", "2"], ["quadratic"]):
+        code, _, err = run_cli(capsys, "scan", *which, "--n", "9")
+        assert code == 2
+        assert "prime" in err
+
+
+def test_scan_echoes_the_requested_workers(capsys, monkeypatch, inline_pool):
+    monkeypatch.setattr(residue_scan.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(
+        capsys, "scan", "u2", "--n", "5", "--k", "2", "--workers", "64", "--format", "json"
+    )
+    assert code == 0
+    assert inline_pool == [2]
+    assert json.loads(out)["inputs"]["workers"] == 64
 
 
 def test_scan_budget_env_var(capsys, monkeypatch):

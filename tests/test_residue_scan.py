@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import truncbin.residue_scan as residue_scan
 from truncbin import (
     BinomialPair,
     DomainError,
@@ -134,6 +135,32 @@ def test_scan_budget_guard():
         scan_divisibility(13, 2, cell_budget=1000)
     assert excinfo.value.required_cells == 169 * 169
     assert "1000" in str(excinfo.value)
+    # The guard is exact: a budget of n**(2k) cells admits the scan.
+    assert scan_divisibility(5, 1, cell_budget=25).cells_scanned == 25
+    with pytest.raises(ScanBudgetError):
+        scan_divisibility(5, 1, cell_budget=24)
+
+
+def test_scan_budget_refuses_huge_grids_before_building_them():
+    # n**k here would have about 5 * 10**17 digits; the refusal must not build it
+    # and its message must stay printable.
+    with pytest.raises(ScanBudgetError) as excinfo:
+        scan_divisibility(3, 10**18)
+    assert f"3^{2 * 10**18} cells" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected",
+    [(64, 64, 25), (64, 2, 2), (3, 8, 3), (2, None, 1)],
+)
+def test_scan_pool_is_clamped_to_bands_and_cpus(
+    inline_pool, monkeypatch, workers, cpus, expected
+):
+    # n = 5, k = 2: 25 rows, so at most 25 bands.
+    monkeypatch.setattr(residue_scan.os, "cpu_count", lambda: cpus)
+    report = scan_divisibility(5, 2, workers=workers)
+    assert inline_pool == [expected]
+    assert report == scan_divisibility(5, 2)
 
 
 def test_scan_rejects_bad_arguments():
