@@ -233,9 +233,10 @@ def cmd_verdict_case_b_check(args):
     return _echo(args), payload, None
 
 
-def _resolve_budget(args):
-    if args.budget is not None:
-        return args.budget
+def _resolve_budget(flag):
+    """The --budget value if given, else SCAN_BUDGET_CELLS, else the default."""
+    if flag is not None:
+        return flag
     env = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
     try:
         return int(env)
@@ -258,19 +259,14 @@ def cmd_scan_u2(args):
         workers=args.workers,
         expect_empty=args.expect_empty,
     )
-    report = scan_divisibility(
-        args.n,
-        args.k,
-        constraints,
-        workers=args.workers,
-        cell_budget=_resolve_budget(args),
-    )
+    budget = _resolve_budget(args.budget)
+    report = scan_divisibility(args.n, args.k, constraints, cell_budget=budget)
     csv_rows = [[report.n, report.power_k, a, b] for a, b in report.witnesses]
     return inputs, report.to_jsonable(), csv_rows
 
 
 def cmd_scan_quadratic(args):
-    report = scan_quadratic(args.n)
+    report = scan_quadratic(args.n, cell_budget=_resolve_budget(None))
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
     csv_rows = [[report.n, 1, a, b] for a, b in report.zero_pairs]
     return _echo(args), report.to_jsonable(), csv_rows
@@ -350,7 +346,7 @@ def build_parser():
         forbid_a=_flag("exclude a = 0 (mod n)"),
         forbid_b=_flag("exclude b = 0 (mod n)"),
         forbid_sum=_flag("exclude a+b = 0 (mod n)"),
-        workers={"type": int, "default": 1},
+        workers={"type": int, "default": 1, "help": "echoed only; scans run in one process"},
         budget={
             "type": int,
             "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})",

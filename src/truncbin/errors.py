@@ -23,16 +23,16 @@ class InconsistentCaseError(PreconditionError):
 
 
 class ScanBudgetError(RuntimeError):
-    """A residue scan of n**(2k) grid cells exceeds the configured cap."""
+    """A residue scan of base**power grid cells exceeds the configured cap."""
 
-    def __init__(self, n: int, k: int, budget: int):
-        self.n = n
-        self.k = k
+    def __init__(self, base: int, power: int, budget: int):
+        self.base = base
+        self.power = power
         self.budget = budget
-        # Past 2**256 the count is written as the power n^2k: a grid that
-        # large is refused without building it, and its decimal can run
+        # Past 2**256 the count is written as the power base^power: a grid
+        # that large is refused without building it, and its decimal can run
         # past the digits Python converts to a string.
-        cells = f"{n}^{2 * k}" if 2 * k * n.bit_length() > 256 else self.required_cells
+        cells = f"{base}^{power}" if power * base.bit_length() > 256 else self.required_cells
         super().__init__(
             f"scan needs {cells} cells but the budget is {budget}; "
             f"raise the cap to at least {cells} to run it"
@@ -40,4 +40,4 @@ class ScanBudgetError(RuntimeError):
 
     @property
     def required_cells(self) -> int:
-        return self.n ** (2 * self.k)
+        return self.base**self.power

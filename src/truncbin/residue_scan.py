@@ -1,30 +1,28 @@
 """Exhaustive residue-class scans for divisibility of U(a, b) by n**k.
 
 U(a, b) is a polynomial with integer coefficients, so whether n**k
-divides it depends only on (a mod n**k, b mod n**k).  Enumerating the
-full residue grid is therefore a complete decision procedure for claims
-of the form "n**k never divides U(a, b) under these constraints", and
-that is exactly how the n = 11 incompatibility was settled.
+divides it depends only on (a mod n**k, b mod n**k).  Deciding the full
+residue grid is therefore a complete decision procedure for claims of
+the form "n**k never divides U(a, b) under these constraints", and that
+is exactly how the n = 11 incompatibility was settled.
 
-The kernel never touches big integers: each worker builds a table of
-x**n mod m by modular exponentiation and the per-cell check is two adds
-and a compare.  The grid can be split into row bands and scanned by
-worker processes; witnesses merge as a sorted union, so any worker
-count yields a bit-identical report.
+U is homogeneous of degree n, U(a, a*t) = a**n * U(1, t), and a**n is a
+unit mod n**k when a is prime to n.  So row a of the grid is row 1 with
+column t moved to a*t, and only row 1 and the rows with n | a are
+checked cell by cell, against a table of x**n mod n**k, in one process.
+The cell budget and cells_scanned still count grid cells.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .binomial_core import _validate_exponent
+from .binomial_core import _validate_exponent, _validate_int
 from .errors import DomainError, ScanBudgetError
 
-# Default cap on full-grid cells (n**2k); keeps k = 2 scans feasible
-# up to n ~ 97 on one machine.  The CLI can override it per run.
+# Default cap on grid cells (n**2k, or (n-1)**2 for the quadratic scan);
+# keeps k = 2 scans feasible up to n ~ 97.  The CLI can override it per run.
 DEFAULT_CELL_BUDGET = 10**8
 
 
@@ -137,50 +135,20 @@ def u2_mod(a_res: int, b_res: int, n: int, m: int) -> int:
     return (pow((a + b) % m, n, m) - pow(a, n, m) - pow(b, n, m)) % m
 
 
-def _scan_band(args) -> tuple[list[tuple[int, int]], int]:
-    """Scan rows [a_start, a_stop) of the residue grid; used by workers."""
-    n, m, a_start, a_stop, forbid_a, forbid_b, forbid_sum = args
-    table = [pow(x, n, m) for x in range(m)]
-    # Doubled table lets the hot loop index (a + b) without a reduction.
-    table2 = table + table
-    all_b = [b for b in range(m) if not (forbid_b and b % n == 0)]
-
-    witnesses = []
-    cells = 0
-    for a in range(a_start, a_stop):
-        if forbid_a and a % n == 0:
-            continue
-        if forbid_sum:
-            cols = [b for b in all_b if (a + b) % n != 0]
-        else:
-            cols = all_b
-        cells += len(cols)
-        pa = table[a]
-        for b in cols:
-            t = pa + table[b]
-            if t >= m:
-                t -= m
-            if table2[a + b] == t:
-                witnesses.append((a, b))
-    return witnesses, cells
-
-
 def scan_divisibility(
     n: int,
     k: int,
     constraints: ScanConstraints | None = None,
     *,
-    workers: int = 1,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> ScanReport:
     """Enumerate all residue pairs mod n**k and record where n**k | U(a, b).
 
     The full grid holds n**(2k) cells; scans above cell_budget are refused
-    up front.  workers > 1 splits the grid into that many contiguous row
-    bands, handled by at most one process per CPU; the report is identical
-    for any count.
+    up front.
     """
     _validate_exponent(n)
+    _validate_int("k", k)
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     constraints = constraints if constraints is not None else ScanConstraints.none()
@@ -188,32 +156,39 @@ def scan_divisibility(
     # n**(2k) >= 2**(2k * (bits(n) - 1)), so a grid that this bound already
     # puts over the budget is refused before any power of n is built.
     if 2 * k * (n.bit_length() - 1) >= cell_budget.bit_length() or n ** (2 * k) > cell_budget:
-        raise ScanBudgetError(n, k, cell_budget)
+        raise ScanBudgetError(n, 2 * k, cell_budget)
     m = n**k
+    table = [pow(x, n, m) for x in range(m)]
+    # Doubled table lets the cell check index (a + b) without a reduction.
+    table2 = table + table
+    # One int object per residue, shared by every witness that holds it.
+    residues = list(range(m))
+    all_b = [b for b in residues if not (constraints.forbid_b_zero and b % n == 0)]
 
-    flags = (
-        constraints.forbid_a_zero,
-        constraints.forbid_b_zero,
-        constraints.forbid_sum_zero_mod_n,
-    )
-    if workers <= 1:
-        band_results = [_scan_band((n, m, 0, m, *flags))]
-    else:
-        band_size = -(-m // workers)  # ceil division
-        bands = [
-            (n, m, start, min(start + band_size, m), *flags)
-            for start in range(0, m, band_size)
-        ]
-        processes = min(workers, len(bands), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            band_results = list(pool.map(_scan_band, bands))
+    def columns(a):
+        if constraints.forbid_sum_zero_mod_n:
+            return [b for b in all_b if (a + b) % n]
+        return all_b
 
-    witnesses: list[tuple[int, int]] = []
+    def witness_columns(a, cols):
+        pa = table[a]
+        return [b for b in cols if table2[a + b] == (pa + table[b]) % m]
+
+    # Row a prime to n is row 1 with column t moved to a*t.  As a*t = 0 and
+    # a + a*t = 0 (mod n) exactly when t = 0 and 1 + t = 0, the constraints
+    # allow as many columns as in row 1 and keep the images of row 1's witnesses.
+    row1 = columns(1)
+    ratios = witness_columns(1, row1)
+    witnesses = []
     cells = 0
-    for band_witnesses, band_cells in band_results:
-        witnesses.extend(band_witnesses)
-        cells += band_cells
-    witnesses.sort()
+    for a in range(m):
+        if a % n:
+            cells += len(row1)
+            witnesses.extend([(a, residues[b]) for b in sorted([a * t % m for t in ratios])])
+        elif not constraints.forbid_a_zero:
+            cols = columns(a)
+            cells += len(cols)
+            witnesses.extend([(a, b) for b in witness_columns(a, cols)])
 
     return ScanReport(
         n=n,
@@ -225,15 +200,22 @@ def scan_divisibility(
     )
 
 
-def scan_quadratic(n: int) -> QuadraticScanReport:
-    """Exhaust (da^2 + da*db + db^2) mod n over the (n-1)^2 nonzero residues."""
+def scan_quadratic(n: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> QuadraticScanReport:
+    """Exhaust (da^2 + da*db + db^2) mod n over the (n-1)^2 nonzero residues.
+
+    With db = da*t the form is da^2 * (1 + t + t^2), so row da holds the
+    roots t of 1 + t + t^2 scaled by da.  Grids of more than cell_budget
+    cells are refused, as in scan_divisibility.
+    """
     _validate_exponent(n)
+    if (n - 1) ** 2 > cell_budget:
+        raise ScanBudgetError(n - 1, 2, cell_budget)
+    roots = [t for t in range(1, n) if (1 + t + t * t) % n == 0]
     zeros_sum_n = []
     zeros_other = []
     for da in range(1, n):
-        for db in range(1, n):
-            if (da * da + da * db + db * db) % n == 0:
-                (zeros_sum_n if da + db == n else zeros_other).append((da, db))
+        for db in sorted([da * t % n for t in roots]):
+            (zeros_sum_n if da + db == n else zeros_other).append((da, db))
     return QuadraticScanReport(
         n=n,
         zeros_sum_n=tuple(zeros_sum_n),

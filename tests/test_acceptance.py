@@ -72,7 +72,8 @@ def test_criterion_06_eleven_squared_scan():
     assert result.passed, result.details
     assert result.details["constrained_witnesses"] == 0
     assert result.details["constrained_cells"] == 10_890
-    assert result.details["constrained_seconds"] < 1.0
+    assert result.details["constrained_empty"] is True
+    assert result.details["constrained_under_1s"] is True
     assert result.details["witness_set_equals_violating_pairs"] is True
     assert result.details["unconstrained_witnesses"] == 3_751
     assert result.details["audit_ok"] is True
@@ -86,7 +87,8 @@ def test_criterion_07_quadratic_truth_tables():
     assert result.details["n5_zero_pairs"] == []
     assert [1, 2] in result.details["n7_zero_pairs"]
     assert result.details["n7_zero_count"] > 0
-    assert result.details["best_enumeration_seconds"] < 1e-3
+    assert result.details["zero_sets_ok"] is True
+    assert result.details["enumeration_under_1ms"] is True
     # the da + db = n boundary contributes no zeros for either exponent
     assert result.details["sum_n_zeros_n5"] == []
     assert result.details["sum_n_zeros_n7"] == []
@@ -121,5 +123,7 @@ def test_criterion_11_scan_determinism():
     result = run("scan.det")
     report(11, result)
     assert result.passed, result.details
-    assert result.details["workers_compared"] == [1, 8]
+    assert result.details["reference"] == "u2_mod cell by cell"
     assert result.details["byte_identical"] is True
+    assert result.details["witness_count"] == 4_056
+    assert result.details["cells_scanned"] == 22_308

@@ -9,7 +9,6 @@ import json
 
 import pytest
 
-import truncbin.residue_scan as residue_scan
 from truncbin import ScanConstraints, scan_divisibility
 from truncbin.cli import main
 
@@ -247,13 +246,11 @@ def test_scan_rejects_composite_exponent(capsys):
         assert "prime" in err
 
 
-def test_scan_echoes_the_requested_workers(capsys, monkeypatch, inline_pool):
-    monkeypatch.setattr(residue_scan.os, "cpu_count", lambda: 2)
+def test_scan_echoes_the_requested_workers(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "u2", "--n", "5", "--k", "2", "--workers", "64", "--format", "json"
     )
     assert code == 0
-    assert inline_pool == [2]
     assert json.loads(out)["inputs"]["workers"] == 64
 
 
@@ -266,6 +263,13 @@ def test_scan_budget_env_var(capsys, monkeypatch):
         capsys, "scan", "u2", "--n", "13", "--k", "2", "--budget", "10000000"
     )
     assert code == 0
+
+
+def test_scan_quadratic_budget_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("SCAN_BUDGET_CELLS", "15")
+    code, _, err = run_cli(capsys, "scan", "quadratic", "--n", "5")
+    assert code == 5
+    assert "needs 16 cells" in err
 
 
 def test_scan_quadratic_csv(capsys):

@@ -123,6 +123,8 @@ CASES = [
     [*_QUAD, "--n", "3", "--expect-empty"],
     [*_QUAD, "--n", "5", "--expect-empty"],
     [*_QUAD, "--n", "7", "--expect-empty", "--format", "csv"],
+    [*_QUAD, "--n", "10007"],
+    [*_QUAD, "--n", "9973"],
     # verify
     ["verify"],
     ["verify", "--quick", "--format", "json"],

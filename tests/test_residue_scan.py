@@ -1,9 +1,9 @@
-"""Residue scan tests: kernel agreement, completeness, determinism."""
+"""Residue scan tests: kernel agreement, completeness, the cell-by-cell oracle."""
+import itertools
 import random
 
 import pytest
 
-import truncbin.residue_scan as residue_scan
 from truncbin import (
     BinomialPair,
     DomainError,
@@ -123,11 +123,21 @@ def test_scan_cells_scanned_counts_allowed_pairs():
         assert report.cells_scanned == expected
 
 
-def test_scan_determinism_across_worker_counts():
-    single = scan_divisibility(13, 2, ScanConstraints.case_a(), workers=1)
-    multi = scan_divisibility(13, 2, ScanConstraints.case_a(), workers=4)
-    assert single == multi
-    assert single.to_json().encode() == multi.to_json().encode()
+@pytest.mark.parametrize(
+    "n, k",
+    [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)],
+)
+def test_scan_matches_the_u2_mod_grid(n, k):
+    # The oracle decides every cell with u2_mod.  With k > n the rows with
+    # n | a, which the scan checks cell by cell, hold non-trivial cases.
+    m = n**k
+    divisible = {(a, b) for a in range(m) for b in range(m) if u2_mod(a, b, n, m) == 0}
+    for flags in itertools.product((False, True), repeat=3):
+        constraints = ScanConstraints(*flags)
+        allowed = [(a, b) for a in range(m) for b in range(m) if constraints.allows(a, b, n)]
+        report = scan_divisibility(n, k, constraints)
+        assert report.witnesses == tuple(c for c in allowed if c in divisible), flags
+        assert report.cells_scanned == len(allowed), flags
 
 
 def test_scan_budget_guard():
@@ -149,25 +159,15 @@ def test_scan_budget_refuses_huge_grids_before_building_them():
     assert f"3^{2 * 10**18} cells" in str(excinfo.value)
 
 
-@pytest.mark.parametrize(
-    "workers, cpus, expected",
-    [(64, 64, 25), (64, 2, 2), (3, 8, 3), (2, None, 1)],
-)
-def test_scan_pool_is_clamped_to_bands_and_cpus(
-    inline_pool, monkeypatch, workers, cpus, expected
-):
-    # n = 5, k = 2: 25 rows, so at most 25 bands.
-    monkeypatch.setattr(residue_scan.os, "cpu_count", lambda: cpus)
-    report = scan_divisibility(5, 2, workers=workers)
-    assert inline_pool == [expected]
-    assert report == scan_divisibility(5, 2)
-
-
 def test_scan_rejects_bad_arguments():
     with pytest.raises(DomainError):
         scan_divisibility(4, 2)
     with pytest.raises(DomainError):
         scan_divisibility(7, 0)
+    with pytest.raises(DomainError):
+        scan_divisibility(5, 1.5)
+    with pytest.raises(DomainError):
+        scan_divisibility(5, True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,29 @@ def test_quadratic_sum_n_pairs_never_vanish():
 def test_quadratic_n11_empty_n13_not():
     assert scan_quadratic(11).zero_pairs == ()
     assert len(scan_quadratic(13).zero_pairs) == 24
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 19, 31, 37, 43, 97])
+def test_quadratic_matches_brute_force(n):
+    zeros = [
+        (da, db)
+        for da in range(1, n)
+        for db in range(1, n)
+        if (da * da + da * db + db * db) % n == 0
+    ]
+    report = scan_quadratic(n)
+    assert report.zeros_sum_n == tuple(z for z in zeros if sum(z) == n)
+    assert report.zeros_other == tuple(z for z in zeros if sum(z) != n)
+
+
+def test_quadratic_budget_guard():
+    # The guard counts the (n-1)^2 grid cells and is exact.
+    assert scan_quadratic(7, cell_budget=36).cells_scanned == 36
+    with pytest.raises(ScanBudgetError) as excinfo:
+        scan_quadratic(7, cell_budget=35)
+    assert excinfo.value.required_cells == 36
+    with pytest.raises(ScanBudgetError):
+        scan_quadratic(10007)
 
 
 def test_quadratic_rejects_composite():
