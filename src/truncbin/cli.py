@@ -3,7 +3,9 @@
 Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
 scan (u2|quadratic), verify.  Every run emits one report envelope
 (command, echoed inputs, result, timing) as text or JSON; scans can
-also emit their witnesses as CSV.
+also emit their witnesses as CSV.  JSON comes from one renderer,
+residue_scan._dumps, and CSV from one join over the report's pairs;
+tests/test_cli_golden.py and perfbench/goldens.json pin their bytes.
 
 Exit codes are part of the contract:
     0  success (an Incompatible verdict is a result, not an error)
@@ -19,8 +21,6 @@ downstream JSON tooling cannot round them.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -48,6 +48,7 @@ from .errors import DomainError, PreconditionError, ScanBudgetError
 from .residue_scan import (
     DEFAULT_CELL_BUDGET,
     ScanConstraints,
+    _dumps,
     scan_divisibility,
     scan_quadratic,
 )
@@ -124,7 +125,7 @@ def _print_claims(payload, timing_ms):
     print(f"# {summary} ({timing_ms:.0f} ms total)")
 
 
-def _emit(args, inputs, payload, csv_rows, seconds):
+def _emit(args, inputs, payload, seconds):
     timing_ms = round(seconds * 1000.0, 3)
     if args.format == "json":
         envelope = {
@@ -133,11 +134,9 @@ def _emit(args, inputs, payload, csv_rows, seconds):
             "result": payload,
             "timing_ms": timing_ms,
         }
-        print(json.dumps(envelope, indent=2))
+        print(_dumps(envelope))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "k", "a_res", "b_res"])
-        writer.writerows(csv_rows)
+        sys.stdout.write(payload)
     elif args.name == "verify":
         _print_claims(payload, timing_ms)
     else:
@@ -162,8 +161,8 @@ def _normalized_triple(args):
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns the echoed inputs, the result payload and the CSV
-# rows (or None); main prints them.
+# commands: each returns the echoed inputs, the result payload and, for
+# scans, the pairs found (else None); main prints them.
 
 def cmd_compute(args):
     if args.c is not None:
@@ -244,6 +243,13 @@ def _resolve_budget(flag):
         raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
 
 
+def _scan_payload(args, report, k, pairs):
+    """What a scan prints: its pairs as CSV text, or the report's JSON form."""
+    if args.format == "csv":
+        return "n,k,a_res,b_res\r\n" + "".join([f"{report.n},{k},{a},{b}\r\n" for a, b in pairs])
+    return report.to_jsonable()
+
+
 def cmd_scan_u2(args):
     if args.case_a:
         constraints = ScanConstraints.case_a()
@@ -261,15 +267,14 @@ def cmd_scan_u2(args):
     )
     budget = _resolve_budget(args.budget)
     report = scan_divisibility(args.n, args.k, constraints, cell_budget=budget)
-    csv_rows = [[report.n, report.power_k, a, b] for a, b in report.witnesses]
-    return inputs, report.to_jsonable(), csv_rows
+    return inputs, _scan_payload(args, report, report.power_k, report.witnesses), report.witnesses
 
 
 def cmd_scan_quadratic(args):
     report = scan_quadratic(args.n, cell_budget=_resolve_budget(None))
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
-    csv_rows = [[report.n, 1, a, b] for a, b in report.zero_pairs]
-    return _echo(args), report.to_jsonable(), csv_rows
+    pairs = report.zero_pairs
+    return _echo(args), _scan_payload(args, report, 1, pairs), pairs
 
 
 def cmd_verify(args):
@@ -378,15 +383,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, payload, csv_rows = args.func(args)
+        inputs, payload, found = args.func(args)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
-    _emit(args, inputs, payload, csv_rows, time.perf_counter() - started)
-    if not payload.get("all_passed", True):  # only verify reports all_passed
+    _emit(args, inputs, payload, time.perf_counter() - started)
+    if args.name == "verify" and not payload["all_passed"]:
         return EXIT_VERIFY_FAILED
-    if getattr(args, "expect_empty", False) and csv_rows:
-        print(f"expectation violated: {len(csv_rows)} {_FOUND[args.name]} found", file=sys.stderr)
+    if getattr(args, "expect_empty", False) and found:
+        print(f"expectation violated: {len(found)} {_FOUND[args.name]} found", file=sys.stderr)
         return EXIT_EXPECTATION
     return EXIT_OK
 

@@ -89,7 +89,7 @@ class ScanReport:
 
     def to_json(self) -> str:
         """Deterministic serialization; identical runs give identical bytes."""
-        return json.dumps(self.to_jsonable(), indent=2)
+        return _dumps(self.to_jsonable())
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,27 @@ class QuadraticScanReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2)
+        return _dumps(self.to_jsonable())
+
+
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), nested at indent, in the same bytes.
+
+    A nonempty list of [int, int] pairs, such as a report's witnesses, is
+    written with one template and one join: with indent set, json runs its
+    pure-Python encoder, some ten chunks per pair.  Dicts with str keys are
+    walked; every other value is json.dumps's own text.
+    """
+    inner = indent + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = [f"{inner}{json.dumps(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(value) is list and value and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value
+    ):
+        pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+        return "[\n" + ",\n".join([pair % (a, b) for a, b in value]) + "\n" + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def u2_mod(a_res: int, b_res: int, n: int, m: int) -> int:
@@ -149,6 +169,7 @@ def scan_divisibility(
     """
     _validate_exponent(n)
     _validate_int("k", k)
+    _validate_int("cell_budget", cell_budget)
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     constraints = constraints if constraints is not None else ScanConstraints.none()
@@ -208,6 +229,7 @@ def scan_quadratic(n: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Quadrat
     cells are refused, as in scan_divisibility.
     """
     _validate_exponent(n)
+    _validate_int("cell_budget", cell_budget)
     if (n - 1) ** 2 > cell_budget:
         raise ScanBudgetError(n - 1, 2, cell_budget)
     roots = [t for t in range(1, n) if (1 + t + t * t) % n == 0]

@@ -8,11 +8,16 @@ diff before committing it:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
+test_scan_output_matches_stdlib_encoders checks the CLI's JSON and CSV
+writers against json.dumps(envelope, indent=2) and csv.writer on reports
+built by the library.
+
 argparse wraps its usage lines to the terminal width, so every run sets
 COLUMNS; it also unsets the scan budget variable.  The file is recorded
 with CPython 3.11, and argparse's wording can differ in other versions.
 """
 import contextlib
+import csv
 import io
 import json
 import os
@@ -22,6 +27,7 @@ from unittest import mock
 
 import pytest
 
+from truncbin import ScanConstraints, scan_divisibility, scan_quadratic
 from truncbin.cli import BUDGET_ENV_VAR, main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -171,6 +177,42 @@ def test_cli_output_matches_golden(argv, recorded):
 
 def test_golden_covers_every_exit_code_but_verify_failure(recorded):
     assert {case["exit"] for case in recorded.values()} == {0, 2, 3, 4, 5}
+
+
+# The stdlib encoders as oracles for the CLI's own JSON and CSV writers.
+
+def _u2_case(n, k, constraints, *flags):
+    """argv, echoed inputs, the library's report and its CSV rows for one scan u2."""
+    report = scan_divisibility(n, k, constraints)
+    inputs = {"n": n, "k": k, "constraints": constraints.to_jsonable(), "workers": 1,
+              "expect_empty": False}
+    rows = [[n, k, a, b] for a, b in report.witnesses]
+    argv = [*_U2, "--n", str(n), "--k", str(k), *flags]
+    return pytest.param(argv, inputs, report, rows, id=" ".join(argv))
+
+
+def _quadratic_case(n):
+    report = scan_quadratic(n)
+    rows = [[n, 1, a, b] for a, b in report.zero_pairs]
+    argv = [*_QUAD, "--n", str(n)]
+    return pytest.param(argv, {"n": n}, report, rows, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, inputs, report, rows", [
+    _u2_case(11, 2, ScanConstraints()),
+    _u2_case(3, 4, ScanConstraints(forbid_sum_zero_mod_n=True), "--forbid-sum"),
+    _quadratic_case(13),
+])
+def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows):
+    envelope = {"command": " ".join(argv[:2]), "inputs": inputs,
+                "result": report.to_jsonable(), "timing_ms": 0.0}
+    expected = mask(json.dumps(envelope, indent=2) + "\n")
+    assert run([*argv, "--format", "json"])["stdout"] == expected
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["n", "k", "a_res", "b_res"])
+    writer.writerows(rows)
+    assert run([*argv, "--format", "csv"])["stdout"] == out.getvalue()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Residue scan tests: kernel agreement, completeness, the cell-by-cell oracle."""
 import itertools
+import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -14,6 +16,7 @@ from truncbin import (
     truncated2_direct,
     u2_mod,
 )
+from truncbin.residue_scan import _dumps
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,9 @@ def test_scan_rejects_bad_arguments():
         scan_divisibility(5, 1.5)
     with pytest.raises(DomainError):
         scan_divisibility(5, True)
+    for budget in (1e8, None, True, "100"):
+        with pytest.raises(DomainError):
+            scan_divisibility(5, 2, cell_budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +233,78 @@ def test_quadratic_budget_guard():
     assert excinfo.value.required_cells == 36
     with pytest.raises(ScanBudgetError):
         scan_quadratic(10007)
+    for budget in (1e8, None, True, "100"):
+        with pytest.raises(DomainError):
+            scan_quadratic(5, cell_budget=budget)
 
 
 def test_quadratic_rejects_composite():
     with pytest.raises(DomainError):
         scan_quadratic(9)
+
+
+# ---------------------------------------------------------------------------
+# the JSON renderer, against json.dumps(value, indent=2) as its oracle
+
+# Strings that look like the renderer's own output or need escaping.
+_TEXTS = ["", "x", "\u0000", "\n", "é", '"]', "%d", "[\n  1,\n  2\n]", "witnesses"]
+
+
+def _int(rng):
+    return rng.choice([0, -1, 7, rng.randrange(-10**9, 10**9), -rng.randrange(10**4000)])
+
+
+def _random_value(rng, depth):
+    """A value with every kind of list the template must and must not take."""
+    size = rng.randrange(4)
+    kind = rng.randrange(10 if depth else 4)
+    if kind == 0:
+        return _int(rng)
+    if kind == 1:
+        return rng.choice(_TEXTS)
+    if kind == 2:
+        return rng.choice([True, False, None, 1.5, -0.0, float("inf")])
+    if kind == 3:
+        return [[_int(rng), _int(rng)] for _ in range(size)]
+    if kind == 4:
+        return [[rng.choice([True, False]), _int(rng)] for _ in range(size)]
+    if kind == 5:
+        return [[_int(rng), _int(rng), _int(rng)] for _ in range(size)]
+    if kind == 6:
+        return [(_int(rng), _int(rng)) for _ in range(size)]
+    if kind == 7:
+        return [[_int(rng), _int(rng)] for _ in range(size)] + [_random_value(rng, depth - 1)]
+    if kind == 8:
+        return [_random_value(rng, depth - 1) for _ in range(size)]
+    keys = rng.sample(_TEXTS + [1, None], size)
+    return {key: _random_value(rng, depth - 1) for key in keys}
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], [[1, 2]], [[-1, 10**4000]], [[True, 1]], [[1, False]], [[1, 2, 3]],
+    [[1]], [(1, 2)], ((1, 2),), [[[1, 2]]], [[1, 2], [3, 4.0]], [[1, 2], None],
+    {"witnesses": [[1, 2], [3, 4]], "empty": [], "nested": {"zeros": [[0, 0]]}},
+    {"\u0000": [[1, 2]], 3: [[4, 5]]}, {"a": {}, "b": {"c": [[6, 7]]}},
+])
+def test_dumps_matches_json_on_edge_cases(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_matches_json_on_random_values():
+    rng = random.Random("dumps")
+    for _ in range(500):
+        value = _random_value(rng, 4)
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_writes_scan_reports_without_json_for_pair_lists():
+    reports = [scan_divisibility(7, 2), scan_quadratic(13)]
+    expected = [json.dumps(report.to_jsonable(), indent=2) for report in reports]
+    json_dumps = json.dumps
+
+    def no_pair_lists(value, **kwargs):
+        assert not (type(value) is list and value and type(value[0]) is list)
+        return json_dumps(value, **kwargs)
+
+    with mock.patch.object(json, "dumps", no_pair_lists):
+        assert [report.to_json() for report in reports] == expected
