@@ -157,15 +157,38 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     and a**n = (q - b)**n.  All three agree exactly with truncated2_direct
     for every integer pair; that equivalence is a library contract and is
     exercised by the test suite.
+
+    Each sum is evaluated by Horner's rule in its first variable over one
+    cached row of binomial coefficients, so no term builds powers of its
+    own.  The arithmetic is exact, so the value is the sum as written.
     """
     a, b, n, q = p.a, p.b, p.n, p.q
     if form == "mixed":
-        return sum(math.comb(n, v) * a**v * b ** (n - v) for v in range(1, n))
+        return _series(a, b, n)
     if form == "q_minus_a":
-        return -sum(math.comb(n, v) * q**v * (-a) ** (n - v) for v in range(1, n))
+        return -_series(q, -a, n)
     if form == "q_minus_b":
-        return -sum(math.comb(n, v) * q**v * (-b) ** (n - v) for v in range(1, n))
+        return -_series(q, -b, n)
     raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
+
+
+@lru_cache(maxsize=64)
+def _inner_row(n: int) -> tuple[int, ...]:
+    """C(n, v) for v = n-1 down to 1, the order _series takes them in."""
+    return tuple(math.comb(n, v) for v in range(n - 1, 0, -1))
+
+
+def _series(x: int, y: int, n: int) -> int:
+    """sum_{v=1}^{n-1} C(n,v) * x**v * y**(n-v), by Horner's rule in x.
+
+    After the step for v, acc = sum_{w=v}^{n-1} C(n,w) * x**(w-v) * y**(n-1-w)
+    and yp = y**(n-v), so the loop ends with acc * x * y equal to the sum.
+    """
+    acc, yp = 0, 1
+    for c in _inner_row(n):
+        acc = acc * x + c * yp
+        yp *= y
+    return x * y * acc
 
 
 def truncated3(t: TrinomialTriple) -> int:

@@ -165,6 +165,8 @@ def _normalized_triple(args):
 # scans, the pairs found (else None); main prints them.
 
 def cmd_compute(args):
+    if args.c is not None and args.all_forms:
+        raise DomainError("--all-forms applies to a pair only; drop --c or --all-forms")
     if args.c is not None:
         t = TrinomialTriple(args.a, args.b, args.c, args.n)
         payload = {
@@ -326,7 +328,7 @@ def build_parser():
         sub.add_parser("compute", help="evaluate U for a pair or triple"),
         cmd_compute,
         "a b c? n",
-        all_forms=_flag("also print the three series forms"),
+        all_forms=_flag("also print the three series forms (pairs only)"),
     )
 
     verdict = sub.add_parser("verdict", help="compatibility decisions")

@@ -33,6 +33,7 @@ from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
     _validate_exponent,
+    _validate_int,
     gcd_normalize,
     truncated2_direct,
 )
@@ -296,7 +297,8 @@ def case_B_exponents(rho_c: int, n: int) -> ExponentProfile:
     The relations only hold for rho_c >= 1, so rho_c = 0 is rejected.
     """
     _validate_exponent(n)
-    if not isinstance(rho_c, int) or rho_c < 1:
+    _validate_int("rho_c", rho_c)
+    if rho_c < 1:
         raise PreconditionError(
             f"exponent relations require rho_c >= 1, got {rho_c}"
         )

@@ -42,6 +42,17 @@ def u2_oracle(a, b, n):
     return (a + b) ** n - a**n - b**n
 
 
+def series_oracle(a, b, n, form):
+    """The per-term sums of the truncated2_series docstring, written out."""
+    q = a + b
+    if form == "mixed":
+        return sum(math.comb(n, v) * a**v * b ** (n - v) for v in range(1, n))
+    if form == "q_minus_a":
+        return -sum(math.comb(n, v) * q**v * (-a) ** (n - v) for v in range(1, n))
+    assert form == "q_minus_b"
+    return -sum(math.comb(n, v) * q**v * (-b) ** (n - v) for v in range(1, n))
+
+
 def sample_pairs(count, bound=10**6, seed="pairs"):
     rng = random.Random(seed)
     pairs = [(0, 0), (0, 5), (1, -1), (-3, -3), (2, 2)]
@@ -165,14 +176,27 @@ def test_truncated2_series_unknown_form():
         truncated2_series(BinomialPair(1, 1, 3), "sideways")
 
 
+# Pairs with a zero, with a = -b, with negative values and with |a| near 1e20.
+EDGE_PAIRS = [
+    (0, 7), (7, 0), (0, -3), (5, -5), (-10**20, 10**20), (-4, -9),
+    (10**20 + 1, 3), (-(10**20) + 7, -2), (10**20, -(10**19)),
+]
+
+
 def test_series_forms_agree_with_direct_oracle():
-    for n in EXPONENTS:
-        for a, b in sample_pairs(200, seed=f"forms:{n}"):
+    cases = [(n, sample_pairs(200, seed=f"forms:{n}") + EDGE_PAIRS) for n in EXPONENTS]
+    cases += [(n, sample_pairs(3, seed=f"forms:{n}") + EDGE_PAIRS) for n in (17, 101)]
+    # series_oracle takes seconds per pair near 1e20 at n = 1009, so small pairs only.
+    cases += [(1009, sample_pairs(2, bound=10**3, seed="forms:1009"))]
+    for n, pairs in cases:
+        for a, b in pairs:
             p = BinomialPair(a, b, n)
             expected = u2_oracle(a, b, n)
             assert truncated2_direct(p) == expected
             for form in SERIES_FORMS:
-                assert truncated2_series(p, form) == expected, (a, b, n, form)
+                value = truncated2_series(p, form)
+                assert value == expected, (a, b, n, form)
+                assert value == series_oracle(a, b, n, form), (a, b, n, form)
 
 
 def test_u2_even_divisible_symmetric():

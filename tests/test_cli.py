@@ -56,6 +56,17 @@ def test_compute_triple(capsys):
     assert "u: 150" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_triple_refuses_all_forms(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "compute", "--a", "1", "--b", "1", "--c", "4", "--n", "3",
+        "--all-forms", "--format", fmt,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--all-forms" in err
+
+
 def test_compute_huge_values_survive_json(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "--a", str(10**40), "--b", "1", "--n", "13",

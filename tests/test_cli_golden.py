@@ -53,6 +53,7 @@ CASES = [
     ["compute", *_PAIR, "--n", "3", "--all-forms", "--format", "json"],
     ["compute", *_PAIR, "--c", "4", "--n", "3"],
     ["compute", *_PAIR, "--c", "4", "--n", "3", "--format", "json"],
+    ["compute", *_PAIR, "--c", "4", "--n", "3", "--all-forms"],
     ["compute", "--a", "-7", "--b", "12", "--n", "13", "--format", "json"],
     ["compute", "--a", str(10**20), "--b", "3", "--n", "11", "--all-forms", "--format", "json"],
     ["compute", *_PAIR, "--n", "9"],

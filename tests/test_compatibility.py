@@ -8,6 +8,7 @@ from truncbin import (
     PARITY_BOTH_ODD,
     PARITY_ONE_EVEN,
     BinomialPair,
+    DomainError,
     InconsistentCaseError,
     PreconditionError,
     TrinomialTriple,
@@ -173,8 +174,12 @@ def test_case_b_exponents_examples():
     assert (p.rho_c, p.rho_beta, p.rho_q) == (1, 0, 4)
     p = case_B_exponents(2, 3)
     assert (p.rho_c, p.rho_beta, p.rho_q) == (2, 1, 5)
-    with pytest.raises(PreconditionError):
-        case_B_exponents(0, 7)
+    for rho_c in (0, -3):
+        with pytest.raises(PreconditionError):
+            case_B_exponents(rho_c, 7)
+    for rho_c in (True, False, 1.5, 2.0, "2", None):
+        with pytest.raises(DomainError):
+            case_B_exponents(rho_c, 5)
 
 
 def test_case_b_exponents_satisfy_relations():
