@@ -98,6 +98,9 @@ CASES = [
     [*_CASE_B, "--a", "1", "--b", "-1", "--c", "6", "--n", "3"],
     [*_CASE_B, "--a", "1", "--b", "-1", "--c", "6", "--n", "3", "--format", "json"],
     [*_CASE_B, "--a", "2", "--b", "2", "--c", "8", "--n", "3"],
+    [*_CASE_B, "--a", "1", "--b", str(101**201 - 1), "--c", "10201", "--n", "101"],
+    [*_CASE_B, "--a", "1", "--b", str(101**201 - 1), "--c", "10201", "--n", "101",
+     "--format", "json"],
     [*_CASE_B, *_PAIR, "--c", "4", "--n", "9"],
     # scan u2
     [*_U2, "--n", "7", "--k", "2", "--case-a"],
