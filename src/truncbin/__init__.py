@@ -57,6 +57,7 @@ from .valuation import (
     padic_valuation,
     quadratic_form_mod,
     trinomial_rhs_factored,
+    u2_valuation,
 )
 
 __version__ = "0.1.0"

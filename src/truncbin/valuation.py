@@ -29,13 +29,33 @@ the three-integer binomial U(a, b, c) equals
     n = 7   7 q (ab(a^2+ab+b^2)^2 + 2*beta*c*7 * (q^2 + 2*beta*c*7)^2)
 
 trinomial_rhs_factored evaluates these; equality with truncated3 is exact.
+
+Valuations modulo n^K
+---------------------
+u2_valuation takes v_n(U(a, b)) without building U.  For any K, the
+residue r = U mod n^K comes from three modular powers, and a nonzero r
+has the valuation of U, since v_n(U) < K.  K starts at 2 and doubles
+while r is zero.  The doubling stops at a K_max exact for the pair: with
+B = bits(max(|a|, |b|)), |a + b| < 2^(B+1) and |a|, |b| < 2^B, so
+
+    |U| <= |a + b|^n + |a|^n + |b|^n < 2^(n(B+1)+1) <= n^K_max.
+
+A nonzero U therefore has v_n(U) < K_max, and a zero residue at K_max
+means U = 0, whose valuation is INFINITE.  Each modular power works on
+numbers of K log2(n) bits, while U itself has about n B bits and
+padic_valuation divides it once per unit of valuation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .binomial_core import BinomialPair, TrinomialTriple, _validate_exponent
+from .binomial_core import (
+    BinomialPair,
+    TrinomialTriple,
+    _validate_exponent,
+    _validate_int,
+)
 from .errors import DomainError, PreconditionError
 
 # Exponent of the valuation of zero: 0 is divisible by every power.
@@ -75,14 +95,42 @@ def padic_valuation(x: int, p: int) -> Valuation:
 
     padic_valuation(18, 3) -> 2 with cofactor 2; zero maps to INFINITE.
     """
+    _validate_int("x", x)
     _validate_exponent(p)
     if x == 0:
         return Valuation(base=p, exponent=INFINITE, cofactor=0)
+    k, cofactor = _strip(x, p)
+    return Valuation(base=p, exponent=k, cofactor=cofactor)
+
+
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(k, x / p**k) for the largest k with p**k dividing the nonzero x."""
     k = 0
     while x % p == 0:
         x //= p
         k += 1
-    return Valuation(base=p, exponent=k, cofactor=x)
+    return k, x
+
+
+def u2_valuation(p: BinomialPair) -> int | float:
+    """v_n(U(a, b)) from U mod n**K, without building U.
+
+    Equals padic_valuation(truncated2_direct(p), p.n).exponent, INFINITE
+    when U = 0.  See the module docstring for why the largest K is exact.
+    """
+    a, b, n = p.a, p.b, p.n
+    bound = n * (max(abs(a), abs(b)).bit_length() + 1) + 1
+    k_max = -(-bound // (n.bit_length() - 1))  # n**k_max >= 2**bound > |U|
+    k = 2
+    while True:
+        k = min(k, k_max)
+        m = n**k
+        residue = (pow(a + b, n, m) - pow(a, n, m) - pow(b, n, m)) % m
+        if residue:
+            return _strip(residue, n)[0]
+        if k == k_max:
+            return INFINITE
+        k *= 2
 
 
 def factored_u2(p: BinomialPair) -> int:

@@ -8,6 +8,7 @@ from truncbin import (
     PARITY_BOTH_ODD,
     PARITY_ONE_EVEN,
     BinomialPair,
+    CaseBReport,
     DomainError,
     InconsistentCaseError,
     PreconditionError,
@@ -20,6 +21,7 @@ from truncbin import (
     case_B_exponents,
     classify_divisibility_case,
     necessary_conditions_2,
+    padic_valuation,
     truncated2_direct,
 )
 
@@ -218,6 +220,65 @@ def test_case_b_consistency_relabels_divisible_variable():
     moved = case_B_consistency_check(TrinomialTriple(81, 1, 80, 3))
     assert (moved.a, moved.b, moved.c) == (reference.a, reference.b, reference.c)
     assert moved == reference
+
+
+def case_b_report_oracle(a, b, c, n):
+    """The Case-B report on the exact path: every U built and divided by n.
+
+    c must be the variable divisible by n.
+    """
+    t = TrinomialTriple(a, b, c, n)
+    vc, vq, vbeta = (padic_valuation(x, n) for x in (c, a + b, t.beta))
+    expected = case_B_exponents(vc.exponent, n)
+    u_ab = padic_valuation(truncated2_direct(t.pair_ab()), n).exponent
+    u_qc = padic_valuation(truncated2_direct(t.pair_qc()), n).exponent
+    u_ab_expected = vq.exponent + 1
+    u_qc_expected = vq.exponent + 1 + vc.exponent * (n - 1)
+    return CaseBReport(
+        a=a, b=b, c=c, n=n,
+        rho_c=vc.exponent, c0=vc.cofactor,
+        rho_q=vq.exponent, q0=vq.cofactor,
+        rho_beta=vbeta.exponent, beta0=vbeta.cofactor,
+        expected=expected,
+        rho_q_matches=vq.exponent == expected.rho_q,
+        rho_beta_matches=vbeta.exponent == expected.rho_beta,
+        u_ab_valuation=u_ab, u_ab_expected=u_ab_expected, u_ab_matches=u_ab == u_ab_expected,
+        u_qc_valuation=u_qc, u_qc_expected=u_qc_expected, u_qc_matches=u_qc == u_qc_expected,
+    )
+
+
+def sample_case_b_triple(rng, n, rho_c, consistent):
+    """A coprime Case-B triple (a, b, c) with v_n(c) = rho_c and 2n | a+b+c.
+
+    consistent puts n**(n*rho_c - 1) into a+b, as the exponent algebra wants;
+    otherwise a+b is random and the U(q, c) valuation rarely matches.
+    """
+    bound = 10**6
+    while True:
+        a = rng.randint(-bound, bound)
+        c = n**rho_c * rng.choice((-1, 1)) * rng.randint(1, bound)
+        if consistent:
+            b = n ** (n * rho_c - 1) * rng.choice((-1, 1)) * rng.randint(1, bound) - a
+        else:
+            b = 2 * n * rng.randint(-bound, bound) - a - c
+        if a % n == 0 or b % n == 0 or c % n ** (rho_c + 1) == 0:
+            continue
+        if (a + b + c) % (2 * n) or math.gcd(a, b, c) != 1:
+            continue
+        return a, b, c
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+def test_case_b_consistency_matches_the_exact_path(n):
+    rng = random.Random(f"case-b-oracle:{n}")
+    triples = [(1, -1, 6)] if n == 3 else []
+    for rho_c in (1, 2, 3):
+        for consistent in (True, False):
+            triples += [sample_case_b_triple(rng, n, rho_c, consistent) for _ in range(8)]
+    for a, b, c in triples:
+        oracle = case_b_report_oracle(a, b, c, n)
+        assert case_B_consistency_check(TrinomialTriple(a, b, c, n)) == oracle, (a, b, c)
+        assert case_B_consistency_check(TrinomialTriple(c, a, b, n)) == oracle, (a, b, c)
 
 
 def test_case_b_consistency_rejects_case_a_input():

@@ -21,6 +21,7 @@ from truncbin import (
     trinomial_rhs_factored,
     truncated2_direct,
     truncated3,
+    u2_valuation,
 )
 
 
@@ -74,6 +75,12 @@ def test_padic_rejects_bad_base():
             padic_valuation(10, bad)
 
 
+def test_padic_rejects_non_int_value():
+    for bad in (True, False, 1.5, 9.0, "9", None):
+        with pytest.raises(DomainError):
+            padic_valuation(bad, 3)
+
+
 def test_valuation_multiplicative_law():
     rng = random.Random("val-law")
     for _ in range(300):
@@ -84,6 +91,44 @@ def test_valuation_multiplicative_law():
             padic_valuation(x * y, p).exponent
             == padic_valuation(x, p).exponent + padic_valuation(y, p).exponent
         )
+
+
+# ---------------------------------------------------------------------------
+# valuation of the pair binomial from U mod n**K
+
+U2_EXPONENTS = (3, 5, 7, 11, 13, 101)
+
+
+def u2_valuation_cases(n):
+    """Pairs that stress u2_valuation: zeros, signs, n | a, deep n | a+b."""
+    rng = random.Random(f"u2-valuation:{n}")
+    cases = [(0, 0), (0, 7), (-5, 0), (12, -12), (-(n**40), 0), (10**20 + 1, -(10**20) - 1)]
+    cases += [(-3, 3), (-2, -9), (4, -13)]
+    cases += [(n * 4, 1), (n**3, -2), (-(n**2) * 5, n), (n * 2, n**2 * 3), (n**5, -(n**5) * 2)]
+    for j in sorted({1, 2, 3, n - 1, n, n + 1, 2 * n, 3 * n}):
+        a = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        if a % n == 0:
+            a += 1
+        cases.append((a, n**j * rng.choice((-1, 1, 2, -7)) - a))
+    for _ in range(40):
+        cases.append((rng.randint(-10**20, 10**20), rng.randint(-10**20, 10**20)))
+    return cases
+
+
+@pytest.mark.parametrize("n", U2_EXPONENTS)
+def test_u2_valuation_matches_dividing_the_built_u(n):
+    for a, b in u2_valuation_cases(n):
+        p = BinomialPair(a, b, n)
+        expected = padic_valuation(truncated2_direct(p), n).exponent
+        assert u2_valuation(p) == expected, (a, b)
+        assert (expected == INFINITE) == (a * b * (a + b) == 0), (a, b)
+
+
+def test_u2_valuation_closed_forms_at_depth():
+    # n | a+b with n prime to a gives 1 + v_n(a+b), here well past the
+    # first few doublings of K.
+    for n, j in [(3, 9), (7, 21), (101, 303), (1009, 1008)]:
+        assert u2_valuation(BinomialPair(5, n**j * 2 - 5, n)) == 1 + j
 
 
 # ---------------------------------------------------------------------------
