@@ -28,13 +28,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n < 3317044064679887385961981.
 
     That bound, about 3.3e24, covers anything that fits in 64 bits.  Larger
-    n are refused with DomainError rather than guessed.
+    n, and anything but an int, are refused with DomainError rather than
+    guessed.  The cache is typed, so 7.0 does not hit 7's entry.
     """
+    _validate_int("n", n)
     if n < 2:
         return False
     if n >= _PSI_13:

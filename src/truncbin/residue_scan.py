@@ -6,15 +6,17 @@ residue grid is therefore a complete decision procedure for claims of
 the form "n**k never divides U(a, b) under these constraints", and that
 is exactly how the n = 11 incompatibility was settled.
 
-U is homogeneous of degree n, U(a, a*t) = a**n * U(1, t), and a**n is a
-unit mod n**k when a is prime to n.  So row a of the grid is row 1 with
-column t moved to a*t, and only row 1 and the rows with n | a are
-checked cell by cell, against a table of x**n mod n**k, in one process.
-The cell budget and cells_scanned still count grid cells.
+U is homogeneous of degree n, U(u*x, u*y) = u**n * U(x, y), and u**n is
+a unit mod n**k when u is prime to n.  Every residue a != 0 is u*p with
+p = gcd(a, n**k) a power of n and u prime to n, so row a of the grid is
+row p with column y moved to u*y.  Only the k + 1 rows 0, 1, n, ...,
+n**(k-1) are checked cell by cell, against a table of x**n mod n**k, in
+one process.  The cell budget and cells_scanned still count grid cells.
 """
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -148,6 +150,10 @@ def u2_mod(a_res: int, b_res: int, n: int, m: int) -> int:
     Safe for huge residues and exponents; agrees with the exact value of
     truncated2_direct reduced mod m.
     """
+    _validate_int("a_res", a_res)
+    _validate_int("b_res", b_res)
+    _validate_exponent(n)
+    _validate_int("m", m)
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
     a = a_res % m
@@ -172,7 +178,10 @@ def scan_divisibility(
     _validate_int("cell_budget", cell_budget)
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
-    constraints = constraints if constraints is not None else ScanConstraints.none()
+    if constraints is None:
+        constraints = ScanConstraints.none()
+    elif not isinstance(constraints, ScanConstraints):
+        raise DomainError(f"constraints must be a ScanConstraints, got {type(constraints).__name__}")
 
     # n**(2k) >= 2**(2k * (bits(n) - 1)), so a grid that this bound already
     # puts over the budget is refused before any power of n is built.
@@ -184,32 +193,29 @@ def scan_divisibility(
     table2 = table + table
     # One int object per residue, shared by every witness that holds it.
     residues = list(range(m))
-    all_b = [b for b in residues if not (constraints.forbid_b_zero and b % n == 0)]
 
-    def columns(a):
-        if constraints.forbid_sum_zero_mod_n:
-            return [b for b in all_b if (a + b) % n]
-        return all_b
+    def checked_row(p):
+        """The allowed-cell count of row p and its witness columns, cell by cell."""
+        # The constraints are stated mod n, so the allowed columns repeat with period n.
+        allowed = [r for r in range(n) if constraints.allows(p, r, n)]
+        cols = [q + r for q in range(0, m, n) for r in allowed]
+        return len(cols), [b for b in cols if table2[p + b] == (table[p] + table[b]) % m]
 
-    def witness_columns(a, cols):
-        pa = table[a]
-        return [b for b in cols if table2[a + b] == (pa + table[b]) % m]
-
-    # Row a prime to n is row 1 with column t moved to a*t.  As a*t = 0 and
-    # a + a*t = 0 (mod n) exactly when t = 0 and 1 + t = 0, the constraints
-    # allow as many columns as in row 1 and keep the images of row 1's witnesses.
-    row1 = columns(1)
-    ratios = witness_columns(1, row1)
+    # Row a = u*p is row p with column y moved to u*y.  The constraints are
+    # stated mod n and u is a unit there, so they hold at (a, u*y) exactly
+    # when they hold at (p, y): both rows allow as many cells.
+    base = {}
     witnesses = []
     cells = 0
     for a in range(m):
-        if a % n:
-            cells += len(row1)
-            witnesses.extend([(a, residues[b]) for b in sorted([a * t % m for t in ratios])])
-        elif not constraints.forbid_a_zero:
-            cols = columns(a)
-            cells += len(cols)
-            witnesses.extend([(a, b) for b in witness_columns(a, cols)])
+        p = math.gcd(a, m)
+        if p not in base:
+            base[p] = checked_row(p % m)
+        count, ratios = base[p]
+        cells += count
+        if ratios:
+            u = a // p or 1
+            witnesses.extend([(a, residues[b]) for b in sorted([u * y % m for y in ratios])])
 
     return ScanReport(
         n=n,

@@ -190,5 +190,8 @@ def trinomial_rhs_factored(t: TrinomialTriple) -> int:
 
 
 def quadratic_form_mod(da: int, db: int, n: int) -> int:
-    """(da^2 + da*db + db^2) mod n for residues in [0, n)."""
+    """(da^2 + da*db + db^2) mod n for residues in [0, n), n a prime exponent."""
+    _validate_int("da", da)
+    _validate_int("db", db)
+    _validate_exponent(n)
     return (da * da + da * db + db * db) % n

@@ -20,11 +20,13 @@ from truncbin import (
     gcd_normalize,
     is_prime,
     padic_valuation,
+    quadratic_form_mod,
     scan_divisibility,
     scan_quadratic,
     truncated2_direct,
     truncated2_series,
     truncated3,
+    u2_mod,
 )
 
 EXPONENTS = (3, 5, 7, 11, 13)
@@ -115,6 +117,16 @@ def test_is_prime_rejects_psi12_and_refuses_psi13():
         is_prime(PSI_13)
 
 
+def test_is_prime_refuses_non_integers():
+    for bad in (7.0, 2.0, "7", True, None):
+        with pytest.raises(DomainError, match="int"):
+            is_prime(bad)
+    # The cache is typed: 7.0 neither reads nor writes 7's entry.
+    assert is_prime(7) and is_prime(2)
+    with pytest.raises(DomainError):
+        is_prime(7.0)
+
+
 @pytest.mark.parametrize("bad_n", [1, 2, 4, 9, 15, 21, 0, -7, 7.0, True, PSI_12])
 def test_pair_rejects_bad_exponent(bad_n):
     with pytest.raises(DomainError):
@@ -127,6 +139,8 @@ def test_pair_rejects_bad_exponent(bad_n):
         lambda: scan_quadratic(bad_n),
         lambda: padic_valuation(18, bad_n),
         lambda: case_B_exponents(1, bad_n),
+        lambda: u2_mod(1, 2, bad_n, 9),
+        lambda: quadratic_form_mod(1, 2, bad_n),
     ):
         with pytest.raises(DomainError, match="prime"):
             call()

@@ -11,6 +11,7 @@ from truncbin import (
     DomainError,
     ScanBudgetError,
     ScanConstraints,
+    ScanReport,
     scan_divisibility,
     scan_quadratic,
     truncated2_direct,
@@ -54,6 +55,19 @@ def test_u2_mod_translation_invariance():
 def test_u2_mod_rejects_tiny_modulus():
     with pytest.raises(DomainError):
         u2_mod(1, 1, 3, 1)
+
+
+def test_u2_mod_rejects_bad_arguments():
+    for bad in (
+        (1, 2, -3, 9),
+        (1, 2, 4, 9),
+        (1.5, 2, 3, 9),
+        (1, True, 3, 9),
+        (1, 2, 3, 9.0),
+        (1, 2, 3, "9"),
+    ):
+        with pytest.raises(DomainError):
+            u2_mod(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +145,9 @@ def test_scan_cells_scanned_counts_allowed_pairs():
     [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)],
 )
 def test_scan_matches_the_u2_mod_grid(n, k):
-    # The oracle decides every cell with u2_mod.  With k > n the rows with
-    # n | a, which the scan checks cell by cell, hold non-trivial cases.
+    # The oracle decides every cell with u2_mod.  With k > n the base rows
+    # n, n**2, ..., from which the scan derives every row with n | a, hold
+    # non-trivial cases.
     m = n**k
     divisible = {(a, b) for a in range(m) for b in range(m) if u2_mod(a, b, n, m) == 0}
     for flags in itertools.product((False, True), repeat=3):
@@ -141,6 +156,51 @@ def test_scan_matches_the_u2_mod_grid(n, k):
         report = scan_divisibility(n, k, constraints)
         assert report.witnesses == tuple(c for c in allowed if c in divisible), flags
         assert report.cells_scanned == len(allowed), flags
+
+
+def _table_scan(n, k, constraints):
+    """The earlier table kernel, kept as a reference: row 1 by homogeneity,
+    every row with n | a checked cell by cell."""
+    m = n**k
+    table = [pow(x, n, m) for x in range(m)]
+    table2 = table + table
+    all_b = [b for b in range(m) if not (constraints.forbid_b_zero and b % n == 0)]
+
+    def columns(a):
+        if constraints.forbid_sum_zero_mod_n:
+            return [b for b in all_b if (a + b) % n]
+        return all_b
+
+    def witness_columns(a, cols):
+        pa = table[a]
+        return [b for b in cols if table2[a + b] == (pa + table[b]) % m]
+
+    row1 = columns(1)
+    ratios = witness_columns(1, row1)
+    witnesses = []
+    cells = 0
+    for a in range(m):
+        if a % n:
+            cells += len(row1)
+            witnesses.extend([(a, b) for b in sorted([a * t % m for t in ratios])])
+        elif not constraints.forbid_a_zero:
+            cols = columns(a)
+            cells += len(cols)
+            witnesses.extend([(a, b) for b in witness_columns(a, cols)])
+    return ScanReport(n, k, m, constraints, tuple(witnesses), cells)
+
+
+@pytest.mark.parametrize("n, k", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+def test_scan_matches_the_table_kernel(n, k):
+    # Deeper base rows than the u2_mod grid test can afford.  to_json() is a
+    # function of the report's fields, so equal reports render the same
+    # bytes.  The bytes are compared on Case A; rendering the other sets,
+    # with up to 10**5 witnesses each, would take seconds.
+    for flags in itertools.product((False, True), repeat=3):
+        constraints = ScanConstraints(*flags)
+        assert scan_divisibility(n, k, constraints) == _table_scan(n, k, constraints), flags
+    case_a = ScanConstraints.case_a()
+    assert scan_divisibility(n, k, case_a).to_json() == _table_scan(n, k, case_a).to_json()
 
 
 def test_scan_budget_guard():
@@ -174,6 +234,9 @@ def test_scan_rejects_bad_arguments():
     for budget in (1e8, None, True, "100"):
         with pytest.raises(DomainError):
             scan_divisibility(5, 2, cell_budget=budget)
+    for constraints in ("case-a", (True, True, True), ScanConstraints):
+        with pytest.raises(DomainError, match="ScanConstraints"):
+            scan_divisibility(5, 1, constraints)
 
 
 # ---------------------------------------------------------------------------

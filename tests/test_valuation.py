@@ -210,6 +210,12 @@ def test_quadratic_form_mod_examples():
     assert quadratic_form_mod(0, 0, 11) == 0
 
 
+def test_quadratic_form_mod_rejects_bad_arguments():
+    for bad in ((1.5, 2, 7), (1, "2", 7), (True, 2, 7), (1, 2, 0), (1, 2, 7.0), (1, 2, 9)):
+        with pytest.raises(DomainError):
+            quadratic_form_mod(*bad)
+
+
 def test_lift_law():
     # n | a+b with n coprime to ab forces at least n^2 into U(a, b).
     rng = random.Random("lift")
