@@ -3,9 +3,10 @@
 Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
 scan (u2|quadratic), verify.  Every run emits one report envelope
 (command, echoed inputs, result, timing) as text or JSON; scans can
-also emit their witnesses as CSV.  JSON comes from one renderer,
-residue_scan._dumps, and CSV from one join over the report's pairs;
-tests/test_cli_golden.py and perfbench/goldens.json pin their bytes.
+also emit their witnesses as CSV.  JSON comes from one encoder,
+residue_scan._dumps, and the pairs of both JSON and CSV from one row
+renderer, residue_scan._write_rows; tests/test_cli_golden.py and
+perfbench/goldens.json pin their bytes.
 
 Exit codes are part of the contract:
     0  success (an Incompatible verdict is a result, not an error)
@@ -49,6 +50,7 @@ from .residue_scan import (
     DEFAULT_CELL_BUDGET,
     ScanConstraints,
     _dumps,
+    _write_rows,
     scan_divisibility,
     scan_quadratic,
 )
@@ -162,7 +164,7 @@ def _normalized_triple(args):
 
 # ---------------------------------------------------------------------------
 # commands: each returns the echoed inputs, the result payload and, for
-# scans, the pairs found (else None); main prints them.
+# scans, the number of pairs found (else None); main prints them.
 
 def cmd_compute(args):
     if args.c is not None and args.all_forms:
@@ -245,11 +247,13 @@ def _resolve_budget(flag):
         raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
 
 
-def _scan_payload(args, report, k, pairs):
-    """What a scan prints: its pairs as CSV text, or the report's JSON form."""
+def _scan_payload(args, report, k, rows, size):
+    """What a scan prints: CSV text of its pairs, held as rows (a, cols)
+    with every column in range(size); else the report itself, which
+    _dumps writes as JSON, or its to_jsonable() dict for the text form."""
     if args.format == "csv":
-        return "n,k,a_res,b_res\r\n" + "".join([f"{report.n},{k},{a},{b}\r\n" for a, b in pairs])
-    return report.to_jsonable()
+        return "n,k,a_res,b_res\r\n" + _write_rows(rows, f"{report.n},{k},%d,", "", "\r\n", size)
+    return report if args.format == "json" else report.to_jsonable()
 
 
 def cmd_scan_u2(args):
@@ -269,14 +273,16 @@ def cmd_scan_u2(args):
     )
     budget = _resolve_budget(args.budget)
     report = scan_divisibility(args.n, args.k, constraints, cell_budget=budget)
-    return inputs, _scan_payload(args, report, report.power_k, report.witnesses), report.witnesses
+    found = sum([len(cols) for _, cols in report.rows])
+    return inputs, _scan_payload(args, report, report.power_k, report.rows, report.modulus), found
 
 
 def cmd_scan_quadratic(args):
     report = scan_quadratic(args.n, cell_budget=_resolve_budget(None))
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
     pairs = report.zero_pairs
-    return _echo(args), _scan_payload(args, report, 1, pairs), pairs
+    rows = [(a, (b,)) for a, b in pairs]
+    return _echo(args), _scan_payload(args, report, 1, rows, report.n), len(pairs)
 
 
 def cmd_verify(args):
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
     if args.name == "verify" and not payload["all_passed"]:
         return EXIT_VERIFY_FAILED
     if getattr(args, "expect_empty", False) and found:
-        print(f"expectation violated: {len(found)} {_FOUND[args.name]} found", file=sys.stderr)
+        print(f"expectation violated: {found} {_FOUND[args.name]} found", file=sys.stderr)
         return EXIT_EXPECTATION
     return EXIT_OK
 

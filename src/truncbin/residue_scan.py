@@ -12,12 +12,18 @@ p = gcd(a, n**k) a power of n and u prime to n, so row a of the grid is
 row p with column y moved to u*y.  Only the k + 1 rows 0, 1, n, ...,
 n**(k-1) are checked cell by cell, against a table of x**n mod n**k, in
 one process.  The cell budget and cells_scanned still count grid cells.
+
+A report stores the rows the scan computes, (a, cols) for each row with
+a witness, not one pair per witness; the flat witnesses are derived from
+them.  JSON and CSV write each row with one join of precomputed column
+strings (_write_rows), so writing a report builds no per-pair object.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .binomial_core import _validate_exponent, _validate_int
@@ -66,32 +72,42 @@ class ScanConstraints:
 class ScanReport:
     """Canonical result of a divisibility scan.
 
-    witnesses holds every constraint-satisfying residue pair (a, b) in
-    [0, n**k)^2 with n**k | U(a, b), in lexicographic order;
-    cells_scanned counts the constraint-satisfying pairs.
+    rows holds, for each residue a in [0, n**k) with a witness, the pair
+    (a, cols): cols is the sorted tuple of the b in [0, n**k) with the
+    pair allowed by the constraints and n**k | U(a, b).  witnesses derives
+    the flat lexicographic tuple of pairs (a, b) from them; cells_scanned
+    counts the constraint-satisfying pairs.
     """
 
     n: int
     power_k: int
     modulus: int
     constraints: ScanConstraints
-    witnesses: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
     cells_scanned: int
 
-    def to_jsonable(self) -> dict:
+    @property
+    def witnesses(self) -> tuple[tuple[int, int], ...]:
+        return tuple([(a, b) for a, cols in self.rows for b in cols])
+
+    def _payload(self, witnesses) -> dict:
+        """to_jsonable() with its witnesses list given."""
         return {
             "n": self.n,
             "power_k": self.power_k,
             "modulus": self.modulus,
             "constraints": self.constraints.to_jsonable(),
-            "witness_count": len(self.witnesses),
-            "witnesses": [[a, b] for a, b in self.witnesses],
+            "witness_count": sum([len(cols) for _, cols in self.rows]),
+            "witnesses": witnesses,
             "cells_scanned": self.cells_scanned,
         }
 
+    def to_jsonable(self) -> dict:
+        return self._payload([[a, b] for a, cols in self.rows for b in cols])
+
     def to_json(self) -> str:
         """Deterministic serialization; identical runs give identical bytes."""
-        return _dumps(self.to_jsonable())
+        return _dumps(self)
 
 
 @dataclass(frozen=True)
@@ -124,23 +140,53 @@ class QuadraticScanReport:
         return _dumps(self.to_jsonable())
 
 
+# Pairs held as rows (a, cols) for _dumps to write as a JSON list of
+# [a, b]; with size set, every column is in range(size).
+_PairRows = namedtuple("_PairRows", "rows size")
+
+
+def _write_rows(rows, head, between, tail, size=None):
+    """The pairs (a, b) of rows (a, cols) in one text, joined by between.
+
+    A pair is head % a, then b, then tail.  Within a row only b changes, so
+    a row is one join of its column strings; with size set these are made
+    once for range(size), else str(b) for each pair.
+    """
+    text = list(map(str, range(size))).__getitem__ if size and rows else str
+    out = []
+    for a, cols in rows:
+        first = head % a
+        out.append(first + (tail + between + first).join(map(text, cols)) + tail)
+    return between.join(out)
+
+
 def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), nested at indent, in the same bytes.
 
-    A nonempty list of [int, int] pairs, such as a report's witnesses, is
-    written with one template and one join: with indent set, json runs its
-    pure-Python encoder, some ten chunks per pair.  Dicts with str keys are
-    walked; every other value is json.dumps's own text.
+    A scan report is written as its to_jsonable() dict, a ScanReport's
+    witnesses straight from its rows.  These and any nonempty list of
+    [int, int] pairs are written by _write_rows: with indent set, json runs
+    its pure-Python encoder, some ten chunks per pair.  Dicts with str keys
+    are walked; every other value is json.dumps's own text.
     """
     inner = indent + "  "
+    if type(value) is ScanReport:
+        value = value._payload(_PairRows(value.rows, value.modulus))
+    elif type(value) is QuadraticScanReport:
+        value = value.to_jsonable()
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = [f"{inner}{json.dumps(key)}: {_dumps(item, inner)}" for key, item in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if type(value) is list and value and all(
         type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value
     ):
-        pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-        return "[\n" + ",\n".join([pair % (a, b) for a, b in value]) + "\n" + indent + "]"
+        value = _PairRows([(a, (b,)) for a, b in value], None)
+    if type(value) is _PairRows:
+        if not value.rows:
+            return "[]"
+        head = f"{inner}[\n{inner}  %d,\n{inner}  "
+        pairs = _write_rows(value.rows, head, ",\n", f"\n{inner}]", value.size)
+        return "[\n" + pairs + "\n" + indent + "]"
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
@@ -191,8 +237,6 @@ def scan_divisibility(
     table = [pow(x, n, m) for x in range(m)]
     # Doubled table lets the cell check index (a + b) without a reduction.
     table2 = table + table
-    # One int object per residue, shared by every witness that holds it.
-    residues = list(range(m))
 
     def checked_row(p):
         """The allowed-cell count of row p and its witness columns, cell by cell."""
@@ -205,7 +249,7 @@ def scan_divisibility(
     # stated mod n and u is a unit there, so they hold at (a, u*y) exactly
     # when they hold at (p, y): both rows allow as many cells.
     base = {}
-    witnesses = []
+    rows = []
     cells = 0
     for a in range(m):
         p = math.gcd(a, m)
@@ -215,14 +259,14 @@ def scan_divisibility(
         cells += count
         if ratios:
             u = a // p or 1
-            witnesses.extend([(a, residues[b]) for b in sorted([u * y % m for y in ratios])])
+            rows.append((a, tuple(sorted([u * y % m for y in ratios]))))
 
     return ScanReport(
         n=n,
         power_k=k,
         modulus=m,
         constraints=constraints,
-        witnesses=tuple(witnesses),
+        rows=tuple(rows),
         cells_scanned=cells,
     )
 

@@ -27,8 +27,9 @@ from unittest import mock
 
 import pytest
 
-from truncbin import ScanConstraints, scan_divisibility, scan_quadratic
+from truncbin import ScanConstraints, ScanReport, scan_divisibility, scan_quadratic
 from truncbin.cli import BUDGET_ENV_VAR, main
+from truncbin.residue_scan import DEFAULT_CELL_BUDGET
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -185,38 +186,75 @@ def test_golden_covers_every_exit_code_but_verify_failure(recorded):
 
 # The stdlib encoders as oracles for the CLI's own JSON and CSV writers.
 
-def _u2_case(n, k, constraints, *flags):
-    """argv, echoed inputs, the library's report and its CSV rows for one scan u2."""
-    report = scan_divisibility(n, k, constraints)
+def _u2_case(n, k, constraints, *flags, budget=None, rows=None):
+    """argv, echoed inputs, the library's report, its CSV rows and, when the
+    witness rows are given, the report the CLI is made to print."""
+    if rows is None:
+        report = scan_divisibility(n, k, constraints, cell_budget=budget or DEFAULT_CELL_BUDGET)
+        patched = None
+    else:
+        m = n**k
+        cells = sum(constraints.allows(a, b, n) for a in range(m) for b in range(m))
+        report = patched = ScanReport(n, k, m, constraints, rows, cells)
     inputs = {"n": n, "k": k, "constraints": constraints.to_jsonable(), "workers": 1,
               "expect_empty": False}
-    rows = [[n, k, a, b] for a, b in report.witnesses]
+    csv_rows = [[n, k, a, b] for a, b in report.witnesses]
     argv = [*_U2, "--n", str(n), "--k", str(k), *flags]
-    return pytest.param(argv, inputs, report, rows, id=" ".join(argv))
+    if budget:
+        argv += ["--budget", str(budget)]
+    ids = " ".join(argv) + (f" rows={rows}" if rows else "")
+    return pytest.param(argv, inputs, report, csv_rows, patched, id=ids)
 
 
 def _quadratic_case(n):
     report = scan_quadratic(n)
     rows = [[n, 1, a, b] for a, b in report.zero_pairs]
     argv = [*_QUAD, "--n", str(n)]
-    return pytest.param(argv, {"n": n}, report, rows, id=" ".join(argv))
+    return pytest.param(argv, {"n": n}, report, rows, None, id=" ".join(argv))
 
 
-@pytest.mark.parametrize("argv, inputs, report, rows", [
+def _text(name, payload):
+    """The text format: the payload's members one a line, one dict nested."""
+    lines = [f"# {name}"]
+    for key, value in payload.items():
+        if type(value) is dict:
+            lines += [f"{key}:"] + [f"  {inner}: {item}" for inner, item in value.items()]
+        else:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines + ["# elapsed: <t> ms", ""])
+
+
+@pytest.mark.parametrize("argv, inputs, report, rows, patched", [
     _u2_case(11, 2, ScanConstraints()),
     _u2_case(3, 4, ScanConstraints(forbid_sum_zero_mod_n=True), "--forbid-sum"),
+    # Empty: "witnesses": [] and a header-only CSV.
+    _u2_case(11, 2, ScanConstraints.case_a(), "--case-a"),
+    # Modulus 3^9 = 19683: column strings of five digits.
+    _u2_case(3, 9, ScanConstraints(forbid_b_zero=True, forbid_sum_zero_mod_n=True),
+             "--forbid-b", "--forbid-sum", budget=400_000_000),
+    # One witness row, row 0 or another, with one column or several.
+    _u2_case(7, 2, ScanConstraints(), rows=((0, (0, 5, 48)),)),
+    _u2_case(7, 2, ScanConstraints(), rows=((0, (0,)),)),
+    _u2_case(7, 2, ScanConstraints(), rows=((48, (7, 48)),)),
     _quadratic_case(13),
 ])
-def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows):
-    envelope = {"command": " ".join(argv[:2]), "inputs": inputs,
-                "result": report.to_jsonable(), "timing_ms": 0.0}
-    expected = mask(json.dumps(envelope, indent=2) + "\n")
-    assert run([*argv, "--format", "json"])["stdout"] == expected
+def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows, patched):
+    # A hand-built report reaches the CLI in place of the scan's own.
+    scan = mock.patch("truncbin.cli.scan_divisibility", return_value=patched)
+    with scan if patched else contextlib.nullcontext():
+        printed = {fmt: run([*argv, "--format", fmt])["stdout"] for fmt in ("json", "csv", "text")}
+    payload = report.to_jsonable()
+    envelope = {"command": " ".join(argv[:2]), "inputs": inputs, "result": payload,
+                "timing_ms": 0.0}
+    assert printed["json"] == mask(json.dumps(envelope, indent=2) + "\n")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "k", "a_res", "b_res"])
     writer.writerows(rows)
-    assert run([*argv, "--format", "csv"])["stdout"] == out.getvalue()
+    assert printed["csv"] == out.getvalue()
+    assert printed["text"] == _text(" ".join(argv[:2]), payload)
+    if not rows:
+        assert '"witnesses": []' in printed["json"]
 
 
 if __name__ == "__main__":

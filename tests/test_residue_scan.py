@@ -160,7 +160,8 @@ def test_scan_matches_the_u2_mod_grid(n, k):
 
 def _table_scan(n, k, constraints):
     """The earlier table kernel, kept as a reference: row 1 by homogeneity,
-    every row with n | a checked cell by cell."""
+    every row with n | a checked cell by cell.  Returns its report, in row
+    form, and its flat tuple of witness pairs, built pair by pair."""
     m = n**k
     table = [pow(x, n, m) for x in range(m)]
     table2 = table + table
@@ -177,30 +178,46 @@ def _table_scan(n, k, constraints):
 
     row1 = columns(1)
     ratios = witness_columns(1, row1)
+    rows = []
     witnesses = []
     cells = 0
     for a in range(m):
         if a % n:
             cells += len(row1)
-            witnesses.extend([(a, b) for b in sorted([a * t % m for t in ratios])])
+            cols = sorted([a * t % m for t in ratios])
         elif not constraints.forbid_a_zero:
             cols = columns(a)
             cells += len(cols)
-            witnesses.extend([(a, b) for b in witness_columns(a, cols)])
-    return ScanReport(n, k, m, constraints, tuple(witnesses), cells)
+            cols = witness_columns(a, cols)
+        else:
+            continue
+        if cols:
+            rows.append((a, tuple(cols)))
+        witnesses.extend([(a, b) for b in cols])
+    return ScanReport(n, k, m, constraints, tuple(rows), cells), tuple(witnesses)
 
 
 @pytest.mark.parametrize("n, k", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
 def test_scan_matches_the_table_kernel(n, k):
-    # Deeper base rows than the u2_mod grid test can afford.  to_json() is a
-    # function of the report's fields, so equal reports render the same
-    # bytes.  The bytes are compared on Case A; rendering the other sets,
-    # with up to 10**5 witnesses each, would take seconds.
+    # Deeper base rows than the u2_mod grid test can afford.
     for flags in itertools.product((False, True), repeat=3):
         constraints = ScanConstraints(*flags)
-        assert scan_divisibility(n, k, constraints) == _table_scan(n, k, constraints), flags
+        report = scan_divisibility(n, k, constraints)
+        reference, witnesses = _table_scan(n, k, constraints)
+        assert report == reference, flags
+        assert report.witnesses == witnesses, flags
+        assert report.to_json() == reference.to_json(), flags
+
+
+def test_equal_scans_compare_equal_and_hash_alike():
     case_a = ScanConstraints.case_a()
-    assert scan_divisibility(n, k, case_a).to_json() == _table_scan(n, k, case_a).to_json()
+    for n, k, constraints in ((7, 2, case_a), (5, 2, None), (11, 2, case_a)):
+        first, second = scan_divisibility(n, k, constraints), scan_divisibility(n, k, constraints)
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert type(first.rows) is tuple
+        assert all(type(row) is tuple and type(row[1]) is tuple for row in first.rows)
+    assert scan_divisibility(5, 2) != scan_divisibility(5, 2, ScanConstraints.case_a())
 
 
 def test_scan_budget_guard():
