@@ -21,7 +21,6 @@ from .binomial_core import (
 from .compatibility import (
     PARITY_BOTH_ODD,
     PARITY_ONE_EVEN,
-    PARITY_OTHER,
     CaseBReport,
     CaseClassification,
     ConditionReport,

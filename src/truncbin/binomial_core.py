@@ -148,6 +148,11 @@ def truncated2_direct(p: BinomialPair) -> int:
     return p.q ** p.n - p.a ** p.n - p.b ** p.n
 
 
+def _u2_residue(a: int, b: int, n: int, m: int) -> int:
+    """U(a, b) mod m from three modular powers; the arguments are not checked."""
+    return (pow(a + b, n, m) - pow(a, n, m) - pow(b, n, m)) % m
+
+
 def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     """Evaluate U(a, b) as one of its three equivalent summations.
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _u2_residue,
     truncated2_direct,
     truncated2_series,
     truncated3,
@@ -38,15 +39,10 @@ from .residue_scan import (
     ScanConstraints,
     ScanReport,
     scan_divisibility,
+    scan_quadratic,
     timed_scan_quadratic,
-    u2_mod,
 )
-from .valuation import (
-    factored_u2,
-    padic_valuation,
-    quadratic_form_mod,
-    trinomial_rhs_factored,
-)
+from .valuation import factored_u2, padic_valuation, trinomial_rhs_factored
 
 DEFAULT_SEED = 271828
 IDENTITY_EXPONENTS = (3, 5, 7, 11, 13)
@@ -102,49 +98,38 @@ def _random_triples(rng, count):
     ]
 
 
+def _third(rng, n, a, b):
+    """A random c with 2n | a+b+c."""
+    return 2 * n * rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n)) - a - b
+
+
 def _triples_with_divisible_sum(rng, count, n):
     """Random (a, b, c) with 2n | a+b+c, the domain of the factored forms."""
     out = []
     for _ in range(count):
         a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
         b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
-        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
-        out.append((a, b, 2 * n * t - a - b))
+        out.append((a, b, _third(rng, n, a, b)))
     return out
 
 
-def _sample_case_a_triple(rng, n):
-    """A coprime triple with 2n | a+b+c, exactly one even, none divisible by n."""
-    while True:
-        a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
-        b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
-        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
-        c = 2 * n * t - a - b
-        if a % n == 0 or b % n == 0 or c % n == 0:
-            continue
-        if math.gcd(a, b, c) != 1:
-            continue
-        if sum(1 for x in (a, b, c) if x % 2 == 0) != 1:
-            continue
-        return TrinomialTriple(a, b, c, n)
+def _sample_case_a_triple(rng, n, residues=None):
+    """A coprime triple with 2n | a+b+c, exactly one even, none divisible by n.
 
-
-def _sample_case_a_quad_divisible(rng, zero_pairs):
-    """Case-A triple for n = 7 whose (a^2 + ab + b^2) is divisible by 7."""
-    n = 7
+    With residues given, (a mod n, b mod n) is drawn from that list.
+    """
     while True:
-        da, db = rng.choice(zero_pairs)
-        a = da + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
-        b = db + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
-        t = rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n))
-        c = 2 * n * t - a - b
-        if c % n == 0:
-            continue
-        if math.gcd(a, b, c) != 1:
-            continue
-        if sum(1 for x in (a, b, c) if x % 2 == 0) != 1:
-            continue
-        return TrinomialTriple(a, b, c, n)
+        if residues is None:
+            a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+            b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
+        else:
+            da, db = rng.choice(residues)
+            a = da + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
+            b = db + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
+        c = _third(rng, n, a, b)
+        if a % n and b % n and c % n and math.gcd(a, b, c) == 1:
+            if sum(1 for x in (a, b, c) if x % 2 == 0) == 1:
+                return TrinomialTriple(a, b, c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +332,11 @@ def _claim_case_a_rule(rng, scale, seed):
                 return False, {"failed_at": [t.a, t.b, t.c, n], "tier": "rule"}
         rule_counts[n] = scale.triples
 
-    quad_zero_pairs = [
-        (da, db)
-        for da in range(1, 7)
-        for db in range(1, 7)
-        if quadratic_form_mod(da, db, 7) == 0
-    ]
+    # Every third n = 7 triple has 7 | a^2 + ab + b^2.
+    quad_zero_pairs = scan_quadratic(7).zero_pairs
     rule_open = 0
     for i in range(scale.triples):
-        if i % 3 == 0:
-            t = _sample_case_a_quad_divisible(rng, quad_zero_pairs)
-        else:
-            t = _sample_case_a_triple(rng, 7)
+        t = _sample_case_a_triple(rng, 7, quad_zero_pairs if i % 3 == 0 else None)
         verdict = case_A_verdict(t)
         if verdict.evidence["exact_tier"] is not VerdictKind.INCOMPATIBLE:
             return False, {"failed_at": [t.a, t.b, t.c, 7], "tier": "exact"}
@@ -401,16 +379,12 @@ def _claim_lift_law(rng, scale, seed):
 
 
 def _claim_scan_oracle(rng, scale, seed):
-    """The scan report against one built cell by cell from u2_mod."""
+    """The scan report against one built cell by cell from u2_mod's formula."""
     n, k, constraints = 13, 2, ScanConstraints.case_a()
     report = scan_divisibility(n, k, constraints)
     m = n**k
-    # u2_mod's argument checks, made once; each cell is then its three pows.
-    u2_mod(0, 0, n, m)
     cells = [(a, b) for a in range(m) for b in range(m) if constraints.allows(a, b, n)]
-    witnesses = [
-        (a, b) for a, b in cells if (pow(a + b, n, m) - pow(a, n, m) - pow(b, n, m)) % m == 0
-    ]
+    witnesses = [(a, b) for a, b in cells if _u2_residue(a, b, n, m) == 0]
     rows = tuple(
         (a, tuple(b for _, b in row)) for a, row in itertools.groupby(witnesses, key=lambda c: c[0])
     )

@@ -42,7 +42,6 @@ from .valuation import padic_valuation, u2_valuation
 
 PARITY_BOTH_ODD = "both-odd"
 PARITY_ONE_EVEN = "one-even"
-PARITY_OTHER = "other"
 
 
 class VerdictKind(enum.Enum):
@@ -165,14 +164,8 @@ def necessary_conditions_2(p: BinomialPair) -> ConditionReport:
     if p.a == 0 and p.b == 0:
         raise PreconditionError("conditions undefined for the zero pair")
     (a, b), g = gcd_normalize([p.a, p.b])
-
-    if a % 2 != 0 and b % 2 != 0:
-        parity = PARITY_BOTH_ODD
-    elif (a % 2 == 0) != (b % 2 == 0):
-        parity = PARITY_ONE_EVEN
-    else:
-        parity = PARITY_OTHER
-
+    # Coprime now, so a and b are never both even.
+    parity = PARITY_BOTH_ODD if a % 2 and b % 2 else PARITY_ONE_EVEN
     q = a + b
     divisible = q % (2 * p.n) == 0
     return ConditionReport(

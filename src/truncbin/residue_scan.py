@@ -24,9 +24,9 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .binomial_core import _validate_exponent, _validate_int
+from .binomial_core import _u2_residue, _validate_exponent, _validate_int
 from .errors import DomainError, ScanBudgetError
 
 # Default cap on grid cells (n**2k, or (n-1)**2 for the quadratic scan);
@@ -61,11 +61,7 @@ class ScanConstraints:
         return True
 
     def to_jsonable(self) -> dict:
-        return {
-            "forbid_a_zero": self.forbid_a_zero,
-            "forbid_b_zero": self.forbid_b_zero,
-            "forbid_sum_zero_mod_n": self.forbid_sum_zero_mod_n,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,20 +86,20 @@ class ScanReport:
     def witnesses(self) -> tuple[tuple[int, int], ...]:
         return tuple([(a, b) for a, cols in self.rows for b in cols])
 
-    def _payload(self, witnesses) -> dict:
-        """to_jsonable() with its witnesses list given."""
+    def _payload(self, pairs) -> dict:
+        """to_jsonable() with its list of pairs given as pairs(rows, size)."""
         return {
             "n": self.n,
             "power_k": self.power_k,
             "modulus": self.modulus,
             "constraints": self.constraints.to_jsonable(),
             "witness_count": sum([len(cols) for _, cols in self.rows]),
-            "witnesses": witnesses,
+            "witnesses": pairs(self.rows, self.modulus),
             "cells_scanned": self.cells_scanned,
         }
 
     def to_jsonable(self) -> dict:
-        return self._payload([[a, b] for a, cols in self.rows for b in cols])
+        return self._payload(_pair_list)
 
     def to_json(self) -> str:
         """Deterministic serialization; identical runs give identical bytes."""
@@ -127,32 +123,40 @@ class QuadraticScanReport:
     def zero_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.zeros_sum_n + self.zeros_other))
 
-    def to_jsonable(self) -> dict:
+    def _payload(self, pairs) -> dict:
+        """to_jsonable() with each list of pairs given as pairs(rows, size)."""
         return {
             "n": self.n,
-            "zeros_sum_n": [[a, b] for a, b in self.zeros_sum_n],
-            "zeros_other": [[a, b] for a, b in self.zeros_other],
+            "zeros_sum_n": pairs([(a, (b,)) for a, b in self.zeros_sum_n], self.n),
+            "zeros_other": pairs([(a, (b,)) for a, b in self.zeros_other], self.n),
             "zero_count": len(self.zeros_sum_n) + len(self.zeros_other),
             "cells_scanned": self.cells_scanned,
         }
 
+    def to_jsonable(self) -> dict:
+        return self._payload(_pair_list)
+
     def to_json(self) -> str:
-        return _dumps(self.to_jsonable())
+        return _dumps(self)
 
 
-# Pairs held as rows (a, cols) for _dumps to write as a JSON list of
-# [a, b]; with size set, every column is in range(size).
+def _pair_list(rows, size):
+    """The pairs of rows (a, cols) as a list of [a, b]."""
+    return [[a, b] for a, cols in rows for b in cols]
+
+
+# Pairs held as rows (a, cols), every column in range(size), for _dumps
+# to write as a JSON list of [a, b].
 _PairRows = namedtuple("_PairRows", "rows size")
 
 
-def _write_rows(rows, head, between, tail, size=None):
+def _write_rows(rows, head, between, tail, size):
     """The pairs (a, b) of rows (a, cols) in one text, joined by between.
 
     A pair is head % a, then b, then tail.  Within a row only b changes, so
-    a row is one join of its column strings; with size set these are made
-    once for range(size), else str(b) for each pair.
+    a row is one join of its column strings, made once for range(size).
     """
-    text = list(map(str, range(size))).__getitem__ if size and rows else str
+    text = list(map(str, range(size))).__getitem__ if rows else None
     out = []
     for a, cols in rows:
         first = head % a
@@ -163,24 +167,18 @@ def _write_rows(rows, head, between, tail, size=None):
 def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), nested at indent, in the same bytes.
 
-    A scan report is written as its to_jsonable() dict, a ScanReport's
-    witnesses straight from its rows.  These and any nonempty list of
-    [int, int] pairs are written by _write_rows: with indent set, json runs
-    its pure-Python encoder, some ten chunks per pair.  Dicts with str keys
-    are walked; every other value is json.dumps's own text.
+    A scan report is written as its to_jsonable() dict with each list of
+    pairs held as _PairRows, which _write_rows writes straight from the
+    rows: with indent set, json runs its pure-Python encoder, some ten
+    chunks per pair.  Dicts with str keys are walked; every other value is
+    json.dumps's own text.
     """
     inner = indent + "  "
-    if type(value) is ScanReport:
-        value = value._payload(_PairRows(value.rows, value.modulus))
-    elif type(value) is QuadraticScanReport:
-        value = value.to_jsonable()
+    if type(value) in (ScanReport, QuadraticScanReport):
+        value = value._payload(_PairRows)
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = [f"{inner}{json.dumps(key)}: {_dumps(item, inner)}" for key, item in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(value) is list and value and all(
-        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value
-    ):
-        value = _PairRows([(a, (b,)) for a, b in value], None)
     if type(value) is _PairRows:
         if not value.rows:
             return "[]"
@@ -202,9 +200,7 @@ def u2_mod(a_res: int, b_res: int, n: int, m: int) -> int:
     _validate_int("m", m)
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
-    a = a_res % m
-    b = b_res % m
-    return (pow((a + b) % m, n, m) - pow(a, n, m) - pow(b, n, m)) % m
+    return _u2_residue(a_res, b_res, n, m)
 
 
 def scan_divisibility(

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _u2_residue,
     _validate_exponent,
     _validate_int,
 )
@@ -124,8 +125,7 @@ def u2_valuation(p: BinomialPair) -> int | float:
     k = 2
     while True:
         k = min(k, k_max)
-        m = n**k
-        residue = (pow(a + b, n, m) - pow(a, n, m) - pow(b, n, m)) % m
+        residue = _u2_residue(a, b, n, n**k)
         if residue:
             return _strip(residue, n)[0]
         if k == k_max:

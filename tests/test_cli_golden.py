@@ -143,6 +143,9 @@ CASES = [
     ["verify", "--claim", "II.9", "--claim", "II.7"],
     ["verify", "--claim", "II.A4", "--claim", "II.7", "--format", "json"],
     ["verify", "--claim", "II.A", "--seed", "7", "--format", "json"],
+    # Full scale: the Case-A and 2n | a+b+c samplers' streams, 1000 draws each.
+    ["verify", "--full", "--claim", "II.A", "--claim", "II.5", "--claim", "II.6",
+     "--claim", "II.8", "--format", "json"],
     ["verify", "--claim", "XX.1"],
     ["verify", "--quick", "--full"],
     ["verify", "--format", "csv"],
@@ -237,6 +240,9 @@ def _text(name, payload):
     _u2_case(7, 2, ScanConstraints(), rows=((0, (0,)),)),
     _u2_case(7, 2, ScanConstraints(), rows=((48, (7, 48)),)),
     _quadratic_case(13),
+    # One root of 1 + t + t^2, and none: both zero lists empty.
+    _quadratic_case(3),
+    _quadratic_case(5),
 ])
 def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows, patched):
     # A hand-built report reaches the CLI in place of the scan's own.
@@ -253,8 +259,9 @@ def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows, patched
     writer.writerows(rows)
     assert printed["csv"] == out.getvalue()
     assert printed["text"] == _text(" ".join(argv[:2]), payload)
-    if not rows:
-        assert '"witnesses": []' in printed["json"]
+    for key in ("witnesses", "zeros_sum_n", "zeros_other"):
+        if payload.get(key) == []:
+            assert f'"{key}": []' in printed["json"]
 
 
 if __name__ == "__main__":

@@ -93,6 +93,12 @@ def test_conditions_examples():
     assert r.parity_class == PARITY_BOTH_ODD
     assert r.q_div_2n and r.beta == 1
 
+    # A zero entry, and a pair both even until the gcd is removed: once
+    # normalized, (0, 1) and (-2, 3), never both even.
+    for a, b in ((0, 5), (-4, 6)):
+        r = necessary_conditions_2(BinomialPair(a, b, 3))
+        assert r.parity_class == PARITY_ONE_EVEN
+
 
 def test_conditions_normalize_first():
     # (10, 2) reduces to (5, 1): both odd afterwards, beta from the

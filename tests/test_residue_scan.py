@@ -335,7 +335,7 @@ def _int(rng):
 
 
 def _random_value(rng, depth):
-    """A value with every kind of list the template must and must not take."""
+    """A value with lists of pairs, of near-pairs and of other values, nested."""
     size = rng.randrange(4)
     kind = rng.randrange(10 if depth else 4)
     if kind == 0:
