@@ -146,6 +146,9 @@ CASES = [
     # Full scale: the Case-A and 2n | a+b+c samplers' streams, 1000 draws each.
     ["verify", "--full", "--claim", "II.A", "--claim", "II.5", "--claim", "II.6",
      "--claim", "II.8", "--format", "json"],
+    # The printed n = 11 bracket against the direct form on 1000 pairs.
+    ["verify", "--full", "--claim", "II.9"],
+    ["verify", "--full", "--claim", "II.9", "--format", "json"],
     ["verify", "--claim", "XX.1"],
     ["verify", "--quick", "--full"],
     ["verify", "--format", "csv"],
