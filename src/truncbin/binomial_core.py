@@ -186,16 +186,20 @@ def _inner_row(n: int) -> tuple[int, ...]:
 
 
 def _series(x: int, y: int, n: int) -> int:
-    """sum_{v=1}^{n-1} C(n,v) * x**v * y**(n-v), by Horner's rule in x.
+    """sum_{v=1}^{n-1} C(n,v) * x**v * y**(n-v), as x * y times a form of degree n - 2."""
+    return x * y * _horner(_inner_row(n), x, y)
 
-    After the step for v, acc = sum_{w=v}^{n-1} C(n,w) * x**(w-v) * y**(n-1-w)
-    and yp = y**(n-v), so the loop ends with acc * x * y equal to the sum.
+
+def _horner(row: tuple[int, ...], x: int, y: int) -> int:
+    """sum_i row[i] * x**(d-i) * y**i with d = len(row) - 1, by Horner's rule in x.
+
+    After step i, acc = sum_{j<=i} row[j] * x**(i-j) * y**j and yp = y**(i+1).
     """
     acc, yp = 0, 1
-    for c in _inner_row(n):
+    for c in row:
         acc = acc * x + c * yp
         yp *= y
-    return x * y * acc
+    return acc
 
 
 def truncated3(t: TrinomialTriple) -> int:

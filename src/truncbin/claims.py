@@ -218,6 +218,19 @@ def _make_factored_claim(n):
     return body
 
 
+def _printed_u11(a, b):
+    """The printed n = 11 expansion of U(a, b), verbatim: II.9 checks it, so nothing is corrected."""
+    bracket = (
+        5 * a * b * (a**7 + b**7)
+        + 15 * a**2 * b**2 * (a**5 + b**5)
+        + 30 * a**3 * b**3 * (a**3 + b**3)
+        + 42 * a**4 * b**4 * (a + b)
+        + a**9
+        + b**9
+    )
+    return 11 * a * b * bracket
+
+
 def _claim_bracket_arbitration(rng, scale, seed):
     """Arbitrate the printed n = 11 expansion against the direct form.
 
@@ -229,8 +242,7 @@ def _claim_bracket_arbitration(rng, scale, seed):
     for _ in range(count):
         a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
         b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
-        p = BinomialPair(a, b, 11)
-        if factored_u2(p) != truncated2_direct(p):
+        if _printed_u11(a, b) != truncated2_direct(BinomialPair(a, b, 11)):
             mismatches.append((a, b))
     if mismatches:
         canonical = min(mismatches, key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))

@@ -8,27 +8,28 @@ comparisons as everything else.
 
 Closed forms
 ------------
-For the supported exponents the pair binomial factors as
+For every prime n >= 3 the pair binomial factors as (Cauchy, Mirimanoff)
 
-    n = 3   U(a, b) = 3ab(a + b)
-    n = 5   U(a, b) = 5ab(a + b)(a^2 + ab + b^2)
-    n = 7   U(a, b) = 7ab(a + b)(a^2 + ab + b^2)^2
-    n = 11  U(a, b) = 11ab * B(a, b)
+    U(a, b) = n ab(a + b) (a^2 + ab + b^2)^e E_n(a, b)
 
-where B is the degree-9 bracket hard-coded in factored_u2 (claim code II.9
-in the verification catalog; its equality with the direct expansion is
-itself under test rather than assumed).  The n = 3, 5, 7 forms are the
-c-independent part of the trinomial right-hand sides below, obtained by
-dropping the addend that carries c.
+with e = 0 for n = 3, e = 1 for n = 5 (mod 6) and e = 2 for n = 1 (mod 6):
+a primitive cube root of unity t = b/a is a root of U/(nab(a+b)) for
+n >= 5, a double one for n = 1 (mod 6).  E_n, a form of degree
+n - 3 - 2e, is 1 for n = 3, 5, 7; E_11 is the sextic of docs/findings.md.
+factored_u2 evaluates this product.  E_n's coefficients are the row
+C(n, v)/n, v = n-1 .. 1, divided exactly by a + b and e times by
+a^2 + ab + b^2, built on the first call for each n and cached.  That
+call is slow at large n, about 7 s at n = 10007, nearly all of it in
+building the binomial row; no CLI command reaches it.
 
-When 2n divides a + b + c, writing beta = (a+b+c) / (2n) and q = a + b,
-the three-integer binomial U(a, b, c) equals
+When 2n divides a + b + c, write beta = (a+b+c) / (2n), q = a + b and
+core = 2*beta*c*n.  Then q + c = 2*beta*n and q^2 + qc + c^2 = q^2 + core,
+so the three-integer binomial U(a, b, c) = U(a, b) + U(q, c) equals
 
-    n = 3   3 q (ab + 2*beta*c*3)
-    n = 5   5 q (ab(a^2+ab+b^2)   + 2*beta*c*5 * (q^2 + 2*beta*c*5))
-    n = 7   7 q (ab(a^2+ab+b^2)^2 + 2*beta*c*7 * (q^2 + 2*beta*c*7)^2)
+    n q (ab (a^2+ab+b^2)^e E_n(a, b) + core (q^2 + core)^e E_n(q, c)).
 
-trinomial_rhs_factored evaluates these; equality with truncated3 is exact.
+trinomial_rhs_factored evaluates this.  For n = 3, 5, 7 it is the
+printed right-hand side term for term, e.g. 3q(ab + 2*beta*c*3) at n = 3.
 
 Valuations modulo n^K
 ---------------------
@@ -49,21 +50,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _horner,
+    _inner_row,
     _u2_residue,
     _validate_exponent,
     _validate_int,
 )
-from .errors import DomainError, PreconditionError
 
 # Exponent of the valuation of zero: 0 is divisible by every power.
 INFINITE = math.inf
-
-FACTORED_U2_EXPONENTS = (3, 5, 7, 11)
-TRINOMIAL_RHS_EXPONENTS = (3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -134,59 +134,41 @@ def u2_valuation(p: BinomialPair) -> int | float:
 
 
 def factored_u2(p: BinomialPair) -> int:
-    """Closed-form evaluation of U(a, b) for n in {3, 5, 7, 11}.
+    """U(a, b) as n ab(a+b) (a^2+ab+b^2)^e E_n(a, b), for every prime n.
 
-    For n in {3, 5, 7} this is provably equal to truncated2_direct.  The
-    n = 11 bracket is transcribed verbatim with coefficients 5, 15, 30, 42;
-    whether it reproduces the direct form is exactly what claim II.9
-    checks, so no correction is applied here.
+    Equal to truncated2_direct; see the module docstring for e and E_n.
     """
     a, b, n = p.a, p.b, p.n
-    if n == 3:
-        return 3 * a * b * (a + b)
-    if n == 5:
-        return 5 * a * b * (a + b) * (a * a + a * b + b * b)
-    if n == 7:
-        return 7 * a * b * (a + b) * (a * a + a * b + b * b) ** 2
-    if n == 11:
-        bracket = (
-            5 * a * b * (a**7 + b**7)
-            + 15 * a**2 * b**2 * (a**5 + b**5)
-            + 30 * a**3 * b**3 * (a**3 + b**3)
-            + 42 * a**4 * b**4 * (a + b)
-            + a**9
-            + b**9
-        )
-        return 11 * a * b * bracket
-    raise DomainError(
-        f"no closed form for n = {n}; supported exponents: {FACTORED_U2_EXPONENTS}"
-    )
+    e, row = _cm_factor(n)
+    return n * a * b * (a + b) * (a * a + a * b + b * b) ** e * _horner(row, a, b)
 
 
 def trinomial_rhs_factored(t: TrinomialTriple) -> int:
-    """Factored right-hand side of the three-integer equation, n in {3, 5, 7}.
+    """Factored right-hand side of the three-integer equation, for every prime n.
 
-    Requires 2n | (a + b + c) so that beta is an integer.  Equals
-    truncated3(t) exactly on its whole domain.
+    Requires 2n | (a + b + c), so that beta is an integer, and raises
+    PreconditionError otherwise.  Equals truncated3(t) exactly.
     """
-    n = t.n
-    if n not in TRINOMIAL_RHS_EXPONENTS:
-        raise DomainError(
-            f"no factored right-hand side for n = {n}; "
-            f"supported exponents: {TRINOMIAL_RHS_EXPONENTS}"
-        )
-    if not t.sum_divisible_by_2n:
-        raise PreconditionError(
-            f"2n = {2 * n} must divide a+b+c = {t.s} for the factored form"
-        )
-    a, b, q = t.a, t.b, t.a + t.b
-    core = 2 * t.beta * t.c * n
-    if n == 3:
-        return 3 * q * (a * b + core)
-    quad = a * a + a * b + b * b
-    if n == 5:
-        return 5 * q * (a * b * quad + core * (q * q + core))
-    return 7 * q * (a * b * quad**2 + core * (q * q + core) ** 2)
+    a, b, c, n = t.a, t.b, t.c, t.n
+    q, core = a + b, 2 * t.beta * c * n
+    e, row = _cm_factor(n)
+    return n * q * (a * b * (a * a + a * b + b * b) ** e * _horner(row, a, b)
+                    + core * (q * q + core) ** e * _horner(row, q, c))
+
+
+@lru_cache(maxsize=64)
+def _cm_factor(n: int) -> tuple[int, tuple[int, ...]]:
+    """(e, E_n's coefficients in the order _horner takes them) for the prime n."""
+    e = {3: 0, 5: 1, 1: 2}[n % 6]
+    row = [c // n for c in _inner_row(n)]
+    for d in (1,) + (2,) * e:  # divide by a + b, then e times by a^2 + ab + b^2
+        for i in range(len(row) - d):
+            for j in range(i + 1, i + d + 1):
+                row[j] -= row[i]
+        if any(row[-d:]):
+            raise ArithmeticError(f"n = {n}: remainder {row[-d:]} on a form of degree {d}")
+        del row[-d:]
+    return e, tuple(row)
 
 
 def quadratic_form_mod(da: int, db: int, n: int) -> int:

@@ -1,9 +1,12 @@
 """Valuation and closed-form tests.
 
 The valuation oracle is a repeated-division loop written here, kept
-separate from the library implementation on purpose.  The n = 11
-bracket equality against the direct form is pinned by these tests; the
-test records the outcome rather than assuming it (see also claim II.9).
+separate from the library implementation on purpose.  The hand-written
+n = 3, 5, 7 factored forms and the printed n = 11 bracket are kept here
+as oracles for the library's one factorisation, which the tests also
+check against the direct form for every prime below 110 and at n = 1009.
+The bracket's equality with the direct form is recorded as an outcome
+rather than assumed (see also claim II.9).
 """
 import random
 
@@ -16,6 +19,7 @@ from truncbin import (
     PreconditionError,
     TrinomialTriple,
     factored_u2,
+    is_prime,
     padic_valuation,
     quadratic_form_mod,
     trinomial_rhs_factored,
@@ -23,6 +27,7 @@ from truncbin import (
     truncated3,
     u2_valuation,
 )
+from truncbin.valuation import _cm_factor
 
 
 def valuation_oracle(x, p):
@@ -134,44 +139,115 @@ def test_u2_valuation_closed_forms_at_depth():
 # ---------------------------------------------------------------------------
 # closed forms for the pair binomial
 
+PRIMES_BELOW_110 = [n for n in range(3, 110) if is_prime(n)]
+
+
+def printed_u2(a, b, n):
+    """The hand-written factored forms: n = 3, 5, 7 and the n = 11 bracket."""
+    quad = a * a + a * b + b * b
+    if n == 3:
+        return 3 * a * b * (a + b)
+    if n == 5:
+        return 5 * a * b * (a + b) * quad
+    if n == 7:
+        return 7 * a * b * (a + b) * quad**2
+    bracket = (
+        5 * a * b * (a**7 + b**7)
+        + 15 * a**2 * b**2 * (a**5 + b**5)
+        + 30 * a**3 * b**3 * (a**3 + b**3)
+        + 42 * a**4 * b**4 * (a + b)
+        + a**9
+        + b**9
+    )
+    return 11 * a * b * bracket
+
+
+def sample_pairs(n, count):
+    """Seeded pairs: |a|, |b| <= 10^6, or <= 100 for n beyond 1000."""
+    bound = 10**6 if n < 1000 else 100
+    rng = random.Random(f"factored:{n}")
+    return [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(count)]
+
+
 def test_factored_u2_examples():
     assert factored_u2(BinomialPair(1, 1, 3)) == 6
     assert factored_u2(BinomialPair(1, 2, 7)) == 2058
     assert factored_u2(BinomialPair(1, -1, 5)) == 0
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [*PRIMES_BELOW_110, 1009])
 def test_factored_u2_equals_direct(n):
-    rng = random.Random(f"factored:{n}")
-    for _ in range(400):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
+    for a, b in sample_pairs(n, 40):
         p = BinomialPair(a, b, n)
         assert factored_u2(p) == truncated2_direct(p), (a, b)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_factored_u2_equals_the_printed_forms(n):
+    for a, b in sample_pairs(n, 200):
+        assert factored_u2(BinomialPair(a, b, n)) == printed_u2(a, b, n), (a, b)
+
+
 def test_factored_u2_n11_bracket_equals_direct():
     # Outcome of the claim II.9 arbitration: the printed coefficient set
-    # {5, 15, 30, 42} reproduces the direct form exactly.  Any edit to the
-    # bracket should turn this red before anything else does.
-    rng = random.Random("bracket-11")
-    for a, b in [(1, 1), (1, 2), (2, 3), (-4, 7), (0, 9), (5, -5)]:
+    # {5, 15, 30, 42} reproduces the direct form, and so factored_u2.
+    pairs = [(1, 1), (1, 2), (2, 3), (-4, 7), (0, 9), (5, -5)] + sample_pairs(11, 200)
+    for a, b in pairs:
         p = BinomialPair(a, b, 11)
-        assert factored_u2(p) == truncated2_direct(p), (a, b)
-    for _ in range(400):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
-        p = BinomialPair(a, b, 11)
-        assert factored_u2(p) == truncated2_direct(p), (a, b)
+        assert printed_u2(a, b, 11) == truncated2_direct(p) == factored_u2(p), (a, b)
 
 
-def test_factored_u2_unsupported_exponent():
-    with pytest.raises(DomainError, match=r"3, 5, 7, 11"):
-        factored_u2(BinomialPair(1, 2, 13))
+def test_factored_u2_at_n13():
+    p = BinomialPair(1, 2, 13)
+    assert factored_u2(p) == truncated2_direct(p) == 1586130
+
+
+def test_cm_factor_pins_e_and_the_cofactor():
+    # E_11 is the sextic of docs/findings.md (II.9).
+    assert [_cm_factor(n) for n in (3, 5, 7)] == [(0, (1,)), (1, (1,)), (2, (1,))]
+    assert _cm_factor(11) == (1, (1, 3, 7, 9, 7, 3, 1))
+    assert _cm_factor(13) == (2, (1, 3, 8, 11, 8, 3, 1))
+
+
+@pytest.mark.parametrize("n", PRIMES_BELOW_110)
+def test_cm_factor_takes_out_every_factor(n):
+    # U stays equal under a wrong e only if E_n absorbs the difference, so
+    # the value tests cannot see it; E_n must be prime to a + b and to
+    # a^2 + ab + b^2.  Writing t = a/b: t + 1 divides E_n iff E_n(-1) = 0,
+    # and t^2 + t + 1 divides it iff E_n(w) = 0 for w a primitive cube
+    # root of unity, iff the coefficient sums over the three classes of
+    # the power mod 3 agree (w^2 = -1 - w).
+    e, row = _cm_factor(n)
+    assert len(row) == n - 2 - 2 * e
+    assert sum(c * (-1) ** i for i, c in enumerate(row)) != 0
+    assert len({sum(row[r::3]) for r in range(3)}) > 1
+
+
+def test_cm_factor_refuses_a_remainder():
+    # No prime leaves one; the composite 25 (25 = 1 mod 6, so e = 2) does.
+    with pytest.raises(ArithmeticError, match="remainder"):
+        _cm_factor(25)
 
 
 # ---------------------------------------------------------------------------
 # closed forms for the trinomial right-hand side
+
+def printed_rhs(a, b, c, n):
+    """The hand-written trinomial right-hand sides for n = 3, 5, 7."""
+    q, quad = a + b, a * a + a * b + b * b
+    core = 2 * ((a + b + c) // (2 * n)) * c * n
+    if n == 3:
+        return 3 * q * (a * b + core)
+    if n == 5:
+        return 5 * q * (a * b * quad + core * (q * q + core))
+    return 7 * q * (a * b * quad**2 + core * (q * q + core) ** 2)
+
+
+def sample_triples(n, count):
+    """Seeded triples with 2n | a + b + c, on the pairs of sample_pairs."""
+    rng = random.Random(f"rhs:{n}")
+    return [(a, b, 2 * n * rng.randint(-10**4, 10**4) - a - b) for a, b in sample_pairs(n, count)]
+
 
 def test_trinomial_rhs_examples():
     assert trinomial_rhs_factored(TrinomialTriple(1, 1, 4, 3)) == 150
@@ -180,15 +256,18 @@ def test_trinomial_rhs_examples():
     assert trinomial_rhs_factored(TrinomialTriple(1, -1, 0, 5)) == 0
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [*PRIMES_BELOW_110, 1009])
 def test_trinomial_rhs_equals_truncated3(n):
-    rng = random.Random(f"rhs:{n}")
-    for _ in range(300):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
-        c = 2 * n * rng.randint(-10**4, 10**4) - a - b
+    for a, b, c in sample_triples(n, 40):
         t = TrinomialTriple(a, b, c, n)
         assert trinomial_rhs_factored(t) == truncated3(t), (a, b, c)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_trinomial_rhs_equals_the_printed_forms(n):
+    for a, b, c in sample_triples(n, 200):
+        t = TrinomialTriple(a, b, c, n)
+        assert trinomial_rhs_factored(t) == printed_rhs(a, b, c, n), (a, b, c)
 
 
 def test_trinomial_rhs_requires_divisible_sum():
@@ -196,9 +275,9 @@ def test_trinomial_rhs_requires_divisible_sum():
         trinomial_rhs_factored(TrinomialTriple(1, 1, 1, 3))
 
 
-def test_trinomial_rhs_unsupported_exponent():
-    with pytest.raises(DomainError, match=r"3, 5, 7"):
-        trinomial_rhs_factored(TrinomialTriple(1, 1, 20, 11))
+def test_trinomial_rhs_at_n11():
+    t = TrinomialTriple(1, 1, 20, 11)
+    assert trinomial_rhs_factored(t) == truncated3(t) == 379518301411326
 
 
 # ---------------------------------------------------------------------------
