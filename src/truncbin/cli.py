@@ -206,7 +206,13 @@ def cmd_verdict_eq3(args):
 
 
 def cmd_verdict_exponents(args):
-    return _echo(args), asdict(case_B_exponents(args.rho_c, args.n)), None
+    profile = case_B_exponents(args.rho_c, args.n)
+    # CPython refuses to print an int past this many digits (0: no limit;
+    # the limit is absent before 3.10.7).  rho_q is the largest exponent.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and profile.rho_q >= 10**limit:
+        raise DomainError(f"rho_q = n*rho_c - 1 has more than {limit} digits, too many to print")
+    return _echo(args), asdict(profile), None
 
 
 def cmd_verdict_case_b_check(args):

@@ -179,6 +179,26 @@ def test_verdict_exponents_rho_zero(capsys):
     assert "rho_c" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", ["3", "1000003"])
+def test_verdict_exponents_refuses_a_rho_q_too_long_to_print(capsys, n, fmt):
+    # rho_q = n*rho_c - 1 has 4301 digits or more: past CPython's default
+    # int-to-str limit of 4300, which would end the run in a traceback.
+    code, out, err = run_cli(
+        capsys, "verdict", "exponents", "--rho-c", "9" * 4300, "--n", n, "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rho_q") and err.count("\n") == 1
+
+
+def test_verdict_exponents_prints_a_4300_digit_rho_q(capsys):
+    code, out, _ = run_cli(
+        capsys, "verdict", "exponents", "--rho-c", "9" * 4299, "--n", "7", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["rho_q"] == 7 * (10**4299 - 1) - 1
+
+
 def test_verdict_case_b_check(capsys):
     code, out, _ = run_cli(
         capsys, "verdict", "case-b-check",

@@ -92,6 +92,9 @@ CASES = [
     ["verdict", "exponents", "--rho-c", "3", "--n", "7", "--format", "json"],
     ["verdict", "exponents", "--rho-c", "0", "--n", "5"],
     ["verdict", "exponents", "--rho-c", "2", "--n", "9", "--format", "json"],
+    # rho_q = n*rho_c - 1 past the interpreter's 4300-digit int-to-str limit.
+    ["verdict", "exponents", "--rho-c", "9" * 4300, "--n", "3"],
+    ["verdict", "exponents", "--rho-c", "9" * 4300, "--n", "1000003", "--format", "json"],
     # verdict case-b-check
     [*_CASE_B, "--a", "1", "--b", "80", "--c", "81", "--n", "3"],
     [*_CASE_B, "--a", "1", "--b", "80", "--c", "81", "--n", "3", "--format", "json"],
