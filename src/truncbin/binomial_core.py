@@ -169,25 +169,20 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     cached row of binomial coefficients, so no term builds powers of its
     own.  The arithmetic is exact, so the value is the sum as written.
     """
-    a, b, n, q = p.a, p.b, p.n, p.q
+    a, b, q, row = p.a, p.b, p.q, _inner_row(p.n)
     if form == "mixed":
-        return _series(a, b, n)
+        return a * b * _horner(row, a, b)
     if form == "q_minus_a":
-        return -_series(q, -a, n)
+        return -q * -a * _horner(row, q, -a)
     if form == "q_minus_b":
-        return -_series(q, -b, n)
+        return -q * -b * _horner(row, q, -b)
     raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
 
 
 @lru_cache(maxsize=64)
 def _inner_row(n: int) -> tuple[int, ...]:
-    """C(n, v) for v = n-1 down to 1, the order _series takes them in."""
+    """C(n, v) for v = n-1 down to 1: U(a, b) = ab * _horner(_inner_row(n), a, b)."""
     return tuple(math.comb(n, v) for v in range(n - 1, 0, -1))
-
-
-def _series(x: int, y: int, n: int) -> int:
-    """sum_{v=1}^{n-1} C(n,v) * x**v * y**(n-v), as x * y times a form of degree n - 2."""
-    return x * y * _horner(_inner_row(n), x, y)
 
 
 def _horner(row: tuple[int, ...], x: int, y: int) -> int:

@@ -207,10 +207,9 @@ def cmd_verdict_eq3(args):
 
 def cmd_verdict_exponents(args):
     profile = case_B_exponents(args.rho_c, args.n)
-    # CPython refuses to print an int past this many digits (0: no limit;
-    # the limit is absent before 3.10.7).  rho_q is the largest exponent.
+    # CPython prints no int past this many digits; 0 (or before 3.10.7, none): no limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and profile.rho_q >= 10**limit:
+    if limit and profile.rho_q >= 10**limit:  # rho_q is the largest exponent
         raise DomainError(f"rho_q = n*rho_c - 1 has more than {limit} digits, too many to print")
     return _echo(args), asdict(profile), None
 
