@@ -207,7 +207,7 @@ def cmd_verdict_eq3(args):
 
 def cmd_verdict_exponents(args):
     profile = case_B_exponents(args.rho_c, args.n)
-    # CPython prints no int past this many digits; 0 (or before 3.10.7, none): no limit.
+    # CPython 3.10.7 and later print no int longer than this many digits; 0: no limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and profile.rho_q >= 10**limit:  # rho_q is the largest exponent
         raise DomainError(f"rho_q = n*rho_c - 1 has more than {limit} digits, too many to print")
