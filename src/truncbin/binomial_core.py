@@ -169,13 +169,13 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     cached row of binomial coefficients, so no term builds powers of its
     own.  The arithmetic is exact, so the value is the sum as written.
     """
-    a, b, q, row = p.a, p.b, p.q, _inner_row(p.n)
+    a, b, n, q = p.a, p.b, p.n, p.q
     if form == "mixed":
-        return a * b * _horner(row, a, b)
+        return a * b * _horner(_inner_row(n), a, b)
     if form == "q_minus_a":
-        return -q * -a * _horner(row, q, -a)
+        return -q * -a * _horner(_inner_row(n), q, -a)
     if form == "q_minus_b":
-        return -q * -b * _horner(row, q, -b)
+        return -q * -b * _horner(_inner_row(n), q, -b)
     raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
 
 

@@ -19,8 +19,9 @@ n - 3 - 2e, is 1 for n = 3, 5, 7; E_11 is the sextic of docs/findings.md.
 factored_u2 evaluates this product.  E_n's coefficients are the row
 C(n, v)/n, v = n-1 .. 1, divided exactly by a + b and e times by
 a^2 + ab + b^2, built on the first call for each n and cached.  That
-call is slow at large n, about 7 s at n = 10007, nearly all of it in
-building the binomial row; no CLI command reaches it.
+call is slow at large n: 6.6 s at n = 10007 on a Xeon core under
+CPython 3.11, nearly all of it building the binomial row.  No CLI
+command reaches it.
 
 When 2n divides a + b + c, write beta = (a+b+c) / (2n), q = a + b and
 core = 2*beta*c*n.  Then q + c = 2*beta*n and q^2 + qc + c^2 = q^2 + core,
