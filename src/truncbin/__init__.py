@@ -17,6 +17,7 @@ from .binomial_core import (
     truncated2_direct,
     truncated2_series,
     truncated3,
+    truncated3_terms,
 )
 from .compatibility import (
     PARITY_BOTH_ODD,

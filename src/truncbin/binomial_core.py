@@ -181,8 +181,15 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
 
 @lru_cache(maxsize=64)
 def _inner_row(n: int) -> tuple[int, ...]:
-    """C(n, v) for v = n-1 down to 1: U(a, b) = ab * _horner(_inner_row(n), a, b)."""
-    return tuple(math.comb(n, v) for v in range(n - 1, 0, -1))
+    """C(n, v) for v = n-1 down to 1: U(a, b) = ab * _horner(_inner_row(n), a, b).
+
+    By symmetry that is C(n, 1), ..., C(n, n-1), built by the exact
+    recurrence C(n, v+1) = C(n, v) * (n - v) / (v + 1).
+    """
+    row = [n]
+    for v in range(1, n - 1):
+        row.append(row[-1] * (n - v) // (v + 1))
+    return tuple(row)
 
 
 def _horner(row: tuple[int, ...], x: int, y: int) -> int:
@@ -198,12 +205,19 @@ def _horner(row: tuple[int, ...], x: int, y: int) -> int:
 
 
 def truncated3(t: TrinomialTriple) -> int:
-    """U(a, b, c) as the sum of two pair binomials, U(a, b) + U(a+b, c).
+    """U(a, b, c) = (a + b + c)**n - a**n - b**n - c**n, from four powers.
 
-    Algebraically identical to (a+b+c)**n - a**n - b**n - c**n; the
-    identity is asserted by tests, not assumed here.
+    Its decomposition U(a, b) + U(a+b, c) is asserted by claim II.2 and the
+    tests, against two truncated2_direct calls, not assumed here.
     """
-    return truncated2_direct(t.pair_ab()) + truncated2_direct(t.pair_qc())
+    return t.s ** t.n - t.a ** t.n - t.b ** t.n - t.c ** t.n
+
+
+def truncated3_terms(t: TrinomialTriple) -> tuple[int, int]:
+    """(U(a, b), U(a+b, c)) from five powers, with (a + b)**n built once."""
+    n = t.n
+    qn = (t.a + t.b) ** n
+    return qn - t.a ** n - t.b ** n, t.s ** n - qn - t.c ** n
 
 
 def gcd_normalize(values: list[int]) -> tuple[list[int], int]:

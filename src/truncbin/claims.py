@@ -197,7 +197,7 @@ def _claim_decomposition(rng, scale, seed):
     for n in IDENTITY_EXPONENTS:
         for a, b, c in triples:
             t = TrinomialTriple(a, b, c, n)
-            if truncated3(t) != (a + b + c) ** n - a**n - b**n - c**n:
+            if truncated3(t) != truncated2_direct(t.pair_ab()) + truncated2_direct(t.pair_qc()):
                 return False, {"failed_at": [a, b, c, n]}
     return True, {"triples": len(triples), "exponents": list(IDENTITY_EXPONENTS)}
 

@@ -22,6 +22,7 @@ downstream JSON tooling cannot round them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .binomial_core import (
     gcd_normalize,
     truncated2_direct,
     truncated2_series,
-    truncated3,
+    truncated3_terms,
 )
 from .claims import DEFAULT_SEED, FULL, QUICK, ClaimResult, format_claim_line, run_claims
 from .compatibility import (
@@ -170,12 +171,8 @@ def cmd_compute(args):
     if args.c is not None and args.all_forms:
         raise DomainError("--all-forms applies to a pair only; drop --c or --all-forms")
     if args.c is not None:
-        t = TrinomialTriple(args.a, args.b, args.c, args.n)
-        payload = {
-            "u": str(truncated3(t)),
-            "u_ab": str(truncated2_direct(t.pair_ab())),
-            "u_qc": str(truncated2_direct(t.pair_qc())),
-        }
+        u_ab, u_qc = truncated3_terms(TrinomialTriple(args.a, args.b, args.c, args.n))
+        payload = {"u": str(u_ab + u_qc), "u_ab": str(u_ab), "u_qc": str(u_qc)}
     else:
         p = BinomialPair(args.a, args.b, args.n)
         u = truncated2_direct(p)
@@ -315,7 +312,8 @@ def _command(parser, func, operands="", formats=FORMATS, **options):
 
     Operands are ints, required unless the word ends in "?".  The inputs
     echo lists the required operands in declaration order, then the
-    optional ones that were given.
+    optional ones that were given.  The parser keeps func's name, not
+    func: main looks it up in this module each time it runs a command.
     """
     operands = {word.rstrip("?"): not word.endswith("?") for word in operands.split()}
     for dest, required in operands.items():
@@ -326,10 +324,12 @@ def _command(parser, func, operands="", formats=FORMATS, **options):
     parser.add_argument("--format", choices=formats, default="text")
     name = parser.prog.split(" ", 1)[1]  # "verdict eq2" from "truncbin verdict eq2"
     echo = sorted(operands, key=lambda dest: not operands[dest])
-    parser.set_defaults(func=func, name=name, operands=echo)
+    parser.set_defaults(func=func.__name__, name=name, operands=echo)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="truncbin",
         description="Exact divisibility analysis of truncated Newton binomials.",
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, payload, found = args.func(args)
+        inputs, payload, found = globals()[args.func](args)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))

@@ -35,7 +35,7 @@ from .binomial_core import (
     _validate_exponent,
     _validate_int,
     gcd_normalize,
-    truncated2_direct,
+    truncated3_terms,
 )
 from .errors import InconsistentCaseError, PreconditionError
 from .valuation import padic_valuation, u2_valuation
@@ -241,8 +241,7 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
 
     n = t.n
     beta = t.beta
-    u_ab = truncated2_direct(t.pair_ab())
-    u_qc = truncated2_direct(t.pair_qc())
+    u_ab, u_qc = truncated3_terms(t)
     v1 = padic_valuation(u_ab, n)
     v2 = padic_valuation(u_qc, n)
     v_sum = padic_valuation(u_ab + u_qc, n)

@@ -26,8 +26,10 @@ from truncbin import (
     truncated2_direct,
     truncated2_series,
     truncated3,
+    truncated3_terms,
     u2_mod,
 )
+from truncbin.binomial_core import _inner_row
 
 EXPONENTS = (3, 5, 7, 11, 13)
 
@@ -78,6 +80,11 @@ def test_binom_coeff_matches_pascal_oracle():
         row = pascal_row(n)
         for v in range(n + 1):
             assert binom_coeff(n, v) == row[v]
+
+
+@pytest.mark.parametrize("n", [n for n in range(200) if is_prime(n)] + [1009])
+def test_inner_row_matches_math_comb(n):
+    assert _inner_row(n) == tuple(math.comb(n, v) for v in range(n - 1, 0, -1))
 
 
 def test_binom_coeff_domain_errors():
@@ -232,12 +239,29 @@ def test_truncated3_examples():
 
 
 def test_truncated3_equals_full_expansion():
+    """The four-power U(a, b, c) against its decomposition U(a, b) + U(a+b, c)."""
     rng = random.Random("triples")
     for n in EXPONENTS:
         for _ in range(150):
             a, b, c = (rng.randint(-10**6, 10**6) for _ in range(3))
             t = TrinomialTriple(a, b, c, n)
-            assert truncated3(t) == (a + b + c) ** n - a**n - b**n - c**n
+            assert truncated3(t) == truncated2_direct(t.pair_ab()) + truncated2_direct(t.pair_qc())
+
+
+# Zeros, a = -b, c = -(a+b) and mixed signs.
+EDGE_TRIPLES = [
+    (0, 0, 0), (0, 0, 5), (0, 7, 0), (4, 0, 0), (3, -3, 0), (3, -3, 8), (-6, 6, -1),
+    (2, 5, -7), (-4, -9, 13), (1, 2, -3), (-5, 8, -11), (12, -7, 30), (-1, -1, -1),
+]
+
+
+@pytest.mark.parametrize("n", [3, 1009])
+def test_truncated3_terms_are_the_two_pair_binomials(n):
+    for a, b, c in EDGE_TRIPLES:
+        t = TrinomialTriple(a, b, c, n)
+        u_ab, u_qc = truncated3_terms(t)
+        assert (u_ab, u_qc) == (truncated2_direct(t.pair_ab()), truncated2_direct(t.pair_qc()))
+        assert u_ab + u_qc == truncated3(t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from truncbin import ScanConstraints, scan_divisibility
-from truncbin.cli import main
+from truncbin.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -373,3 +373,29 @@ def test_verify_seed_is_reproducible(capsys):
     r1 = json.loads(out1)["result"]["results"][0]["details"]
     r2 = json.loads(out2)["result"]["results"][0]["details"]
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_reuses_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_runs_only_the_claims_each_call_asks_for(capsys):
+    for code in ("I.1", "II.12"):
+        status, out, _ = run_cli(capsys, "verify", "--claim", code, "--format", "json")
+        envelope = json.loads(out)
+        assert status == 0
+        assert envelope["inputs"]["claims"] == [code]
+        assert [row["code"] for row in envelope["result"]["results"]] == [code]
+
+
+def test_reused_parser_after_a_parse_failure_gives_the_golden_bytes():
+    from test_cli_golden import GOLDEN, run
+
+    argv = ["verdict", "eq3", "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--format", "json"]
+    failed = run(argv[:-3] + ["x"])
+    assert failed["exit"] == 2 and "invalid int value: 'x'" in failed["stderr"]
+    golden = {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+    assert run(argv) == golden[" ".join(argv)]
