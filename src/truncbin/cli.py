@@ -312,8 +312,9 @@ def _command(parser, func, operands="", formats=FORMATS, **options):
 
     Operands are ints, required unless the word ends in "?".  The inputs
     echo lists the required operands in declaration order, then the
-    optional ones that were given.  The parser keeps func's name, not
-    func: main looks it up in this module each time it runs a command.
+    optional ones that were given.  The parser, built once, keeps func's
+    name: main looks it up in this module on every run, so rebinding a
+    cmd_* function takes effect.
     """
     operands = {word.rstrip("?"): not word.endswith("?") for word in operands.split()}
     for dest, required in operands.items():
