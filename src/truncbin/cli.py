@@ -22,7 +22,6 @@ downstream JSON tooling cannot round them.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import time
@@ -312,9 +311,7 @@ def _command(parser, func, operands="", formats=FORMATS, **options):
 
     Operands are ints, required unless the word ends in "?".  The inputs
     echo lists the required operands in declaration order, then the
-    optional ones that were given.  The parser, built once, keeps func's
-    name: main looks it up in this module on every run, so rebinding a
-    cmd_* function takes effect.
+    optional ones that were given.
     """
     operands = {word.rstrip("?"): not word.endswith("?") for word in operands.split()}
     for dest, required in operands.items():
@@ -325,12 +322,10 @@ def _command(parser, func, operands="", formats=FORMATS, **options):
     parser.add_argument("--format", choices=formats, default="text")
     name = parser.prog.split(" ", 1)[1]  # "verdict eq2" from "truncbin verdict eq2"
     echo = sorted(operands, key=lambda dest: not operands[dest])
-    parser.set_defaults(func=func.__name__, name=name, operands=echo)
+    parser.set_defaults(func=func, name=name, operands=echo)
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="truncbin",
         description="Exact divisibility analysis of truncated Newton binomials.",
@@ -397,7 +392,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, payload, found = globals()[args.func](args)
+        inputs, payload, found = args.func(args)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))

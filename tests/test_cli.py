@@ -10,7 +10,7 @@ import json
 import pytest
 
 from truncbin import ScanConstraints, scan_divisibility
-from truncbin.cli import build_parser, main
+from truncbin.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -376,13 +376,9 @@ def test_verify_seed_is_reproducible(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# several main calls in one process
 
-def test_main_reuses_one_parser():
-    assert build_parser() is build_parser()
-
-
-def test_reused_parser_runs_only_the_claims_each_call_asks_for(capsys):
+def test_second_main_call_runs_only_the_claims_it_asks_for(capsys):
     for code in ("I.1", "II.12"):
         status, out, _ = run_cli(capsys, "verify", "--claim", code, "--format", "json")
         envelope = json.loads(out)
@@ -391,7 +387,7 @@ def test_reused_parser_runs_only_the_claims_each_call_asks_for(capsys):
         assert [row["code"] for row in envelope["result"]["results"]] == [code]
 
 
-def test_reused_parser_after_a_parse_failure_gives_the_golden_bytes():
+def test_main_after_a_parse_failure_gives_the_golden_bytes():
     from test_cli_golden import GOLDEN, run
 
     argv = ["verdict", "eq3", "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--format", "json"]
