@@ -19,8 +19,8 @@ n - 3 - 2e, is 1 for n = 3, 5, 7; E_11 is the sextic of docs/findings.md.
 factored_u2 evaluates this product.  E_n's coefficients are the row
 C(n, v)/n, v = n-1 .. 1, divided exactly by a + b and e times by
 a^2 + ab + b^2, built on the first call for each n and cached.  At
-n = 10007 that call takes about 65 ms on one vCPU of a 2-vCPU Xeon VM
-under CPython 3.11.7, 25 ms of it building the binomial row.  No CLI
+n = 10007 that call takes 65-85 ms on one vCPU of a 2-vCPU Xeon VM
+under CPython 3.11.7, 25-40 ms of it building the binomial row.  No CLI
 command reaches it.
 
 When 2n divides a + b + c, write beta = (a+b+c) / (2n), q = a + b and
