@@ -15,6 +15,7 @@ Exit codes are part of the contract:
     3  a documented precondition does not hold for the input
     4  --expect-empty was given and witnesses exist
     5  the scan exceeds the cell budget
+  141  stdout was closed before the report was written (128 + SIGPIPE)
 
 Arbitrary-size integers cross the boundary as decimal strings so that
 downstream JSON tooling cannot round them.
@@ -62,6 +63,7 @@ EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_EXPECTATION = 4
 EXIT_BUDGET = 5
+EXIT_BROKEN_PIPE = 141
 
 # Library errors and their exit codes; a subclass maps like its base.
 _ERROR_EXITS = {
@@ -396,7 +398,13 @@ def main(argv=None) -> int:
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
-    _emit(args, inputs, payload, time.perf_counter() - started)
+    try:
+        _emit(args, inputs, payload, time.perf_counter() - started)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as `| head -1` does
+        # With stdout on os.devnull the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     if args.name == "verify" and not payload["all_passed"]:
         return EXIT_VERIFY_FAILED
     if getattr(args, "expect_empty", False) and found:

@@ -6,12 +6,14 @@ residue grid is therefore a complete decision procedure for claims of
 the form "n**k never divides U(a, b) under these constraints", and that
 is exactly how the n = 11 incompatibility was settled.
 
-U is homogeneous of degree n, U(u*x, u*y) = u**n * U(x, y), and u**n is
-a unit mod n**k when u is prime to n.  Every residue a != 0 is u*p with
-p = gcd(a, n**k) a power of n and u prime to n, so row a of the grid is
-row p with column y moved to u*y.  Only the k + 1 rows 0, 1, n, ...,
-n**(k-1) are checked cell by cell, against a table of x**n mod n**k, in
-one process.  The cell budget and cells_scanned still count grid cells.
+For k >= 2, x**n mod n**k depends only on x mod P = n**(k-1) (expand
+(x + P*d)**n), so the grid has period P in a and in b; P = n at k = 1.
+U is homogeneous of degree n and u**n is a unit for u prime to n, so row
+u*p of the P x P period, p a power of n, is row p with column y moved to
+u*y mod P: only rows 0, 1, n, ..., n**(k-2) are checked cell by cell, on a
+table of x**n for x < P, in one process.  Row a0 of the period is tiled
+to n**k columns once, q + r for q in range(0, n**k, P), and shared by the
+rows a = a0 (mod P).  cells_scanned counts grid cells.
 
 A report stores the rows the scan computes, (a, cols) for each row with
 a witness, not one pair per witness; the flat witnesses are derived from
@@ -229,33 +231,31 @@ def scan_divisibility(
     # puts over the budget is refused before any power of n is built.
     if 2 * k * (n.bit_length() - 1) >= cell_budget.bit_length() or n ** (2 * k) > cell_budget:
         raise ScanBudgetError(n, 2 * k, cell_budget)
-    m = n**k
-    table = [pow(x, n, m) for x in range(m)]
+    m, period = n**k, n ** max(k - 1, 1)
+    table = [pow(x, n, m) for x in range(period)]
     # Doubled table lets the cell check index (a + b) without a reduction.
     table2 = table + table
 
     def checked_row(p):
-        """The allowed-cell count of row p and its witness columns, cell by cell."""
+        """The allowed-cell count of row p and its witness columns mod P, cell by cell."""
         # The constraints are stated mod n, so the allowed columns repeat with period n.
         allowed = [r for r in range(n) if constraints.allows(p, r, n)]
-        cols = [q + r for q in range(0, m, n) for r in allowed]
+        cols = [q + r for q in range(0, period, n) for r in allowed]
         return len(cols), [b for b in cols if table2[p + b] == (table[p] + table[b]) % m]
 
     # Row a = u*p is row p with column y moved to u*y.  The constraints are
-    # stated mod n and u is a unit there, so they hold at (a, u*y) exactly
-    # when they hold at (p, y): both rows allow as many cells.
-    base = {}
-    rows = []
+    # stated mod n and u is a unit there, so both rows allow as many cells.
+    # p = n**j for j < max(k, 2); p = P = gcd(0, P) stands for row 0.
+    base = {n**j: checked_row(n**j % period) for j in range(max(k, 2))}
+    tiles = []
     cells = 0
-    for a in range(m):
-        p = math.gcd(a, m)
-        if p not in base:
-            base[p] = checked_row(p % m)
+    for a in range(period):
+        p = math.gcd(a, period)
         count, ratios = base[p]
         cells += count
-        if ratios:
-            u = a // p or 1
-            rows.append((a, tuple(sorted([u * y % m for y in ratios]))))
+        ratios = sorted([(a // p or 1) * y % period for y in ratios])
+        tiles.append(tuple([q + r for q in range(0, m, period) for r in ratios]))
+    rows = [(a, cols) for a in range(m) if (cols := tiles[a % period])]
 
     return ScanReport(
         n=n,
@@ -263,7 +263,7 @@ def scan_divisibility(
         modulus=m,
         constraints=constraints,
         rows=tuple(rows),
-        cells_scanned=cells,
+        cells_scanned=cells * (m // period) ** 2,
     )
 
 

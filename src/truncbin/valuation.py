@@ -19,8 +19,8 @@ n - 3 - 2e, is 1 for n = 3, 5, 7; E_11 is the sextic of docs/findings.md.
 factored_u2 evaluates this product.  E_n's coefficients are the row
 C(n, v)/n, v = n-1 .. 1, divided exactly by a + b and e times by
 a^2 + ab + b^2, built on the first call for each n and cached.  At
-n = 10007 that call takes 65-85 ms on one vCPU of a 2-vCPU Xeon VM
-under CPython 3.11.7, 25-40 ms of it building the binomial row.  No CLI
+n = 10007 that call takes 60-72 ms on one vCPU of a 2-vCPU Xeon VM
+under CPython 3.11.7, about 40 ms of it building the row.  No CLI
 command reaches it.
 
 When 2n divides a + b + c, write beta = (a+b+c) / (2n), q = a + b and
@@ -57,7 +57,6 @@ from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
     _horner,
-    _inner_row,
     _u2_residue,
     _validate_exponent,
     _validate_int,
@@ -161,7 +160,10 @@ def trinomial_rhs_factored(t: TrinomialTriple) -> int:
 def _cm_factor(n: int) -> tuple[int, tuple[int, ...]]:
     """(e, E_n's coefficients in the order _horner takes them) for the prime n."""
     e = {3: 0, 5: 1, 1: 2}[n % 6]
-    row = [c // n for c in _inner_row(n)]
+    # C(n, v) / n for v = 1 .. n-1 by _inner_row's recurrence, exact for n prime.
+    row = [1]
+    for v in range(1, n - 1):
+        row.append(row[-1] * (n - v) // (v + 1))
     for d in (1,) + (2,) * e:  # divide by a + b, then e times by a^2 + ab + b^2
         for i in range(len(row) - d):
             for j in range(i + 1, i + d + 1):

@@ -1,16 +1,21 @@
 """CLI surface tests: subcommands, formats, and the exit-code contract.
 
 Exit codes: 0 ok, 1 verify failure, 2 parse/validation, 3 precondition,
-4 expectation violated, 5 budget exceeded.
+4 expectation violated, 5 budget exceeded, 141 stdout closed early.
 """
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import truncbin
 from truncbin import ScanConstraints, scan_divisibility
-from truncbin.cli import main
+from truncbin.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -395,3 +400,42 @@ def test_main_after_a_parse_failure_gives_the_golden_bytes():
     assert failed["exit"] == 2 and "invalid int value: 'x'" in failed["stderr"]
     golden = {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
     assert run(argv) == golden[" ".join(argv)]
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+
+def _spawn(argv, stdout):
+    """The CLI in a fresh interpreter that imports this checkout's truncbin."""
+    path = os.pathsep.join(filter(None, [str(Path(truncbin.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "truncbin.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_reader_that_stops_after_one_line_gets_exit_141_and_no_traceback():
+    # About 150 kB of JSON, more than a pipe holds: the writer is still
+    # writing when the reader closes its end, as under `| head -1`.
+    proc = _spawn(["scan", "u2", "--n", "11", "--k", "2", "--format", "json"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == b"", err  # no traceback, and no message either
+
+
+def test_verify_into_a_closed_pipe_gets_exit_141_and_no_traceback():
+    # The read end is closed before the process starts, as under `| head -0`,
+    # so the first write of the claim lines fails.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _spawn(["verify", "--claim", "II.2"], write)
+    finally:
+        os.close(write)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b"", err

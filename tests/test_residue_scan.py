@@ -197,7 +197,7 @@ def _table_scan(n, k, constraints):
     return ScanReport(n, k, m, constraints, tuple(rows), cells), tuple(witnesses)
 
 
-@pytest.mark.parametrize("n, k", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+@pytest.mark.parametrize("n, k", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2), (23, 2)])
 def test_scan_matches_the_table_kernel(n, k):
     # Deeper base rows than the u2_mod grid test can afford.
     for flags in itertools.product((False, True), repeat=3):
@@ -207,6 +207,24 @@ def test_scan_matches_the_table_kernel(n, k):
         assert report == reference, flags
         assert report.witnesses == witnesses, flags
         assert report.to_json() == reference.to_json(), flags
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (3, 5, 7, 11, 13, 17, 19) for k in (2, 3)] + [(3, k) for k in (4, 5, 6)]
+)
+def test_nth_powers_mod_n_to_the_k_have_period_n_to_the_k_minus_1(n, k):
+    # The lemma the scan stands on: (x + n**(k-1)*d)**n = x**n (mod n**k).
+    m, period = n**k, n ** (k - 1)
+    assert all(pow(x, n, m) == pow(x % period, n, m) for x in range(m))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_rows_one_period_apart_carry_equal_columns(n):
+    for flags in itertools.product((False, True), repeat=3):
+        report = scan_divisibility(n, 3, ScanConstraints(*flags))
+        rows = dict(report.rows)
+        for a in range(n**3 - n**2):
+            assert rows.get(a) == rows.get(a + n**2), (flags, a)
 
 
 def test_equal_scans_compare_equal_and_hash_alike():
