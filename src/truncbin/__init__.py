@@ -11,7 +11,6 @@ from .binomial_core import (
     SERIES_FORMS,
     BinomialPair,
     TrinomialTriple,
-    binom_coeff,
     gcd_normalize,
     is_prime,
     truncated2_direct,
@@ -55,7 +54,6 @@ from .valuation import (
     Valuation,
     factored_u2,
     padic_valuation,
-    quadratic_form_mod,
     trinomial_rhs_factored,
     u2_valuation,
 )

@@ -134,15 +134,6 @@ class TrinomialTriple:
         return BinomialPair(self.a + self.b, self.c, self.n)
 
 
-def binom_coeff(n: int, v: int) -> int:
-    """Exact binomial coefficient C(n, v) for 0 <= v <= n."""
-    _validate_int("n", n)
-    _validate_int("v", v)
-    if n < 0 or v < 0 or v > n:
-        raise DomainError(f"binom_coeff requires 0 <= v <= n, got n={n}, v={v}")
-    return math.comb(n, v)
-
-
 def truncated2_direct(p: BinomialPair) -> int:
     """U(a, b) = (a + b)**n - a**n - b**n, evaluated directly."""
     return p.q ** p.n - p.a ** p.n - p.b ** p.n
@@ -165,31 +156,33 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     for every integer pair; that equivalence is a library contract and is
     exercised by the test suite.
 
-    Each sum is evaluated by Horner's rule in its first variable over one
-    cached row of binomial coefficients, so no term builds powers of its
-    own.  The arithmetic is exact, so the value is the sum as written.
+    Each sum is evaluated by Horner's rule in its first variable over the
+    cached row C(n, v)/n of _inner_row, times n, so no term builds powers
+    of its own.  The arithmetic is exact, so the value is the sum as written.
     """
     a, b, n, q = p.a, p.b, p.n, p.q
     if form == "mixed":
-        return a * b * _horner(_inner_row(n), a, b)
+        return n * a * b * _horner(_inner_row(n), a, b)
     if form == "q_minus_a":
-        return -q * -a * _horner(_inner_row(n), q, -a)
+        return n * -q * -a * _horner(_inner_row(n), q, -a)
     if form == "q_minus_b":
-        return -q * -b * _horner(_inner_row(n), q, -b)
+        return n * -q * -b * _horner(_inner_row(n), q, -b)
     raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
 
 
 @lru_cache(maxsize=64)
 def _inner_row(n: int) -> tuple[int, ...]:
-    """C(n, v) for v = n-1 down to 1: U(a, b) = ab * _horner(_inner_row(n), a, b).
+    """C(n, v)/n for v = n-1 down to 1: U(a, b) = n ab * _horner(_inner_row(n), a, b).
 
-    By symmetry that is C(n, 1), ..., C(n, n-1), built by the exact
-    recurrence C(n, v+1) = C(n, v) * (n - v) / (v + 1).
+    By symmetry that is C(n, 1)/n, ..., C(n, n-1)/n.  Its first half comes
+    from C(n, 1)/n = 1 by C(n, v+1) = C(n, v) * (n - v) / (v + 1), exact for
+    n prime, and C(n, n-v) = C(n, v) mirrors it.  It is the toolkit's one
+    binomial row: valuation._cm_factor takes E_n out of it.
     """
-    row = [n]
-    for v in range(1, n - 1):
+    row = [1]
+    for v in range(1, n // 2):
         row.append(row[-1] * (n - v) // (v + 1))
-    return tuple(row)
+    return tuple(row + row[n % 2 - 2::-1])  # C(n, n/2) once if n is even
 
 
 def _horner(row: tuple[int, ...], x: int, y: int) -> int:

@@ -237,9 +237,8 @@ def _claim_bracket_arbitration(rng, scale, seed):
     Definitive either way: EQUAL on the whole sample, or the
     counterexample with the smallest |a| + |b|.
     """
-    count = max(scale.triples, 1000) if scale.name == "full" else scale.triples
     mismatches = []
-    for _ in range(count):
+    for _ in range(scale.triples):
         a = rng.randint(-PAIR_BOUND, PAIR_BOUND)
         b = rng.randint(-PAIR_BOUND, PAIR_BOUND)
         if _printed_u11(a, b) != truncated2_direct(BinomialPair(a, b, 11)):
@@ -250,10 +249,10 @@ def _claim_bracket_arbitration(rng, scale, seed):
             "verdict": "COUNTEREXAMPLE",
             "counterexample": list(canonical),
             "mismatch_count": len(mismatches),
-            "pairs": count,
+            "pairs": scale.triples,
         }
     else:
-        details = {"verdict": "EQUAL", "mismatch_count": 0, "pairs": count}
+        details = {"verdict": "EQUAL", "mismatch_count": 0, "pairs": scale.triples}
     return True, details  # definitive report produced either way
 
 
@@ -264,17 +263,17 @@ def _claim_scan_eleven(rng, scale, seed):
     constrained_empty = constrained.witnesses == ()
     under_time_bound = constrained_seconds < 1.0
 
-    unconstrained = scan_divisibility(11, 2, ScanConstraints.none())
+    unconstrained = scan_divisibility(11, 2, ScanConstraints())
     violating = {
         (a, b)
         for a in range(121)
         for b in range(121)
         if a % 11 == 0 or b % 11 == 0 or (a + b) % 11 == 0
     }
-    sets_match = set(unconstrained.witnesses) == violating
+    witness_set = set(unconstrained.witnesses)
+    sets_match = witness_set == violating
 
     audit_ok = True
-    witness_set = set(unconstrained.witnesses)
     for _ in range(200):
         a = rng.randrange(121)
         b = rng.randrange(121)

@@ -139,7 +139,14 @@ def _emit(args, inputs, payload, seconds):
             "timing_ms": timing_ms,
         }
         print(_dumps(envelope))
-    elif args.format == "csv":
+    elif args.format == "csv" and hasattr(sys.stdout, "buffer"):
+        # TextIOWrapper drops the short count of a large write that a closed
+        # pipe cuts off, so write bytes until all are out or a write raises.
+        sys.stdout.flush()
+        data = memoryview(payload.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+    elif args.format == "csv":  # an io.StringIO, which has no buffer
         sys.stdout.write(payload)
     elif args.name == "verify":
         _print_claims(payload, timing_ms)

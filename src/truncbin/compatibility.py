@@ -97,11 +97,6 @@ class CaseClassification:
     variable: Optional[str] = None  # which of a, b, c the exponent divides
     rho: Optional[int] = None  # its exact valuation
 
-    def __str__(self):
-        if self.kind == "A":
-            return "CaseA"
-        return f"CaseB({self.variable}, rho={self.rho})"
-
 
 @dataclass(frozen=True)
 class CaseBReport:

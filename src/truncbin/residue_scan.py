@@ -49,10 +49,6 @@ class ScanConstraints:
         """a, b and a + b all prime to n, the regime of the Case-A rule."""
         return cls(True, True, True)
 
-    @classmethod
-    def none(cls) -> "ScanConstraints":
-        return cls()
-
     def allows(self, a: int, b: int, n: int) -> bool:
         if self.forbid_a_zero and a % n == 0:
             return False
@@ -223,7 +219,7 @@ def scan_divisibility(
     if k < 1:
         raise DomainError(f"power k must be >= 1, got {k}")
     if constraints is None:
-        constraints = ScanConstraints.none()
+        constraints = ScanConstraints()
     elif not isinstance(constraints, ScanConstraints):
         raise DomainError(f"constraints must be a ScanConstraints, got {type(constraints).__name__}")
 

@@ -17,11 +17,11 @@ a primitive cube root of unity t = b/a is a root of U/(nab(a+b)) for
 n >= 5, a double one for n = 1 (mod 6).  E_n, a form of degree
 n - 3 - 2e, is 1 for n = 3, 5, 7; E_11 is the sextic of docs/findings.md.
 factored_u2 evaluates this product.  E_n's coefficients are the row
-C(n, v)/n, v = n-1 .. 1, divided exactly by a + b and e times by
-a^2 + ab + b^2, built on the first call for each n and cached.  At
-n = 10007 that call takes 60-72 ms on one vCPU of a 2-vCPU Xeon VM
-under CPython 3.11.7, about 40 ms of it building the row.  No CLI
-command reaches it.
+C(n, v)/n, v = n-1 .. 1, of binomial_core._inner_row divided exactly
+by a + b and e times by a^2 + ab + b^2; the row and E_n are built on
+the first call for each n and cached.  At n = 10007 that call takes
+35-55 ms on one vCPU of a 2-vCPU Xeon VM under CPython 3.11.7, about
+16 ms of it building the row.  No CLI command reaches it.
 
 When 2n divides a + b + c, write beta = (a+b+c) / (2n), q = a + b and
 core = 2*beta*c*n.  Then q + c = 2*beta*n and q^2 + qc + c^2 = q^2 + core,
@@ -57,6 +57,7 @@ from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
     _horner,
+    _inner_row,
     _u2_residue,
     _validate_exponent,
     _validate_int,
@@ -84,11 +85,6 @@ class Valuation:
     @property
     def value(self) -> int:
         return 0 if self.is_infinite else self.cofactor * self.base**self.exponent
-
-    def __str__(self):
-        if self.is_infinite:
-            return f"0 (divisible by every power of {self.base})"
-        return f"{self.cofactor} * {self.base}^{self.exponent}"
 
 
 def padic_valuation(x: int, p: int) -> Valuation:
@@ -160,10 +156,7 @@ def trinomial_rhs_factored(t: TrinomialTriple) -> int:
 def _cm_factor(n: int) -> tuple[int, tuple[int, ...]]:
     """(e, E_n's coefficients in the order _horner takes them) for the prime n."""
     e = {3: 0, 5: 1, 1: 2}[n % 6]
-    # C(n, v) / n for v = 1 .. n-1 by _inner_row's recurrence, exact for n prime.
-    row = [1]
-    for v in range(1, n - 1):
-        row.append(row[-1] * (n - v) // (v + 1))
+    row = list(_inner_row(n))
     for d in (1,) + (2,) * e:  # divide by a + b, then e times by a^2 + ab + b^2
         for i in range(len(row) - d):
             for j in range(i + 1, i + d + 1):
@@ -172,11 +165,3 @@ def _cm_factor(n: int) -> tuple[int, tuple[int, ...]]:
             raise ArithmeticError(f"n = {n}: remainder {row[-d:]} on a form of degree {d}")
         del row[-d:]
     return e, tuple(row)
-
-
-def quadratic_form_mod(da: int, db: int, n: int) -> int:
-    """(da^2 + da*db + db^2) mod n for residues in [0, n), n a prime exponent."""
-    _validate_int("da", da)
-    _validate_int("db", db)
-    _validate_exponent(n)
-    return (da * da + da * db + db * db) % n

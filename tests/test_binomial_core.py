@@ -15,12 +15,10 @@ from truncbin import (
     DomainError,
     PreconditionError,
     TrinomialTriple,
-    binom_coeff,
     case_B_exponents,
     gcd_normalize,
     is_prime,
     padic_valuation,
-    quadratic_form_mod,
     scan_divisibility,
     scan_quadratic,
     truncated2_direct,
@@ -69,31 +67,16 @@ def sample_pairs(count, bound=10**6, seed="pairs"):
 # ---------------------------------------------------------------------------
 # binomial coefficients
 
-def test_binom_coeff_known_values():
-    assert binom_coeff(7, 0) == 1
-    assert binom_coeff(7, 3) == 35
-    assert binom_coeff(11, 5) == 462
-
-
-def test_binom_coeff_matches_pascal_oracle():
-    for n in range(0, 25):
+def test_inner_row_matches_pascal_oracle():
+    for n in [n for n in range(25) if is_prime(n)]:
         row = pascal_row(n)
-        for v in range(n + 1):
-            assert binom_coeff(n, v) == row[v]
+        assert _inner_row(n) == tuple(row[v] // n for v in range(n - 1, 0, -1))
+        assert all(row[v] % n == 0 for v in range(1, n))
 
 
 @pytest.mark.parametrize("n", [n for n in range(200) if is_prime(n)] + [1009])
 def test_inner_row_matches_math_comb(n):
-    assert _inner_row(n) == tuple(math.comb(n, v) for v in range(n - 1, 0, -1))
-
-
-def test_binom_coeff_domain_errors():
-    with pytest.raises(DomainError):
-        binom_coeff(7, 9)
-    with pytest.raises(DomainError):
-        binom_coeff(7, -1)
-    with pytest.raises(DomainError):
-        binom_coeff(-2, 1)
+    assert _inner_row(n) == tuple(math.comb(n, v) // n for v in range(n - 1, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +130,6 @@ def test_pair_rejects_bad_exponent(bad_n):
         lambda: padic_valuation(18, bad_n),
         lambda: case_B_exponents(1, bad_n),
         lambda: u2_mod(1, 2, bad_n, 9),
-        lambda: quadratic_form_mod(1, 2, bad_n),
     ):
         with pytest.raises(DomainError, match="prime"):
             call()

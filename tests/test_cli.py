@@ -427,6 +427,32 @@ def test_reader_that_stops_after_one_line_gets_exit_141_and_no_traceback():
     assert err == b"", err  # no traceback, and no message either
 
 
+def test_csv_reader_that_stops_after_one_line_gets_exit_141():
+    # About 480 kB of CSV, written as one payload: the write that the closed
+    # pipe cuts short must still end in exit 141, not exit 0 with lost rows.
+    proc = _spawn(["scan", "u2", "--n", "23", "--k", "2", "--format", "csv"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,k,a_res,b_res\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b"", err
+
+
+def test_csv_is_written_in_full_through_short_writes(capsys, monkeypatch):
+    # A binary buffer that takes at most 1000 bytes a call, as a pipe may:
+    # every byte still arrives, in order, and none twice.
+    class ShortBuffer(io.BytesIO):
+        def write(self, data):
+            return super().write(bytes(data[:1000]))
+
+    code, expected, _ = run_cli(capsys, "scan", "u2", "--n", "7", "--k", "2", "--format", "csv")
+    stdout = io.TextIOWrapper(ShortBuffer(), encoding="ascii", newline="")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["scan", "u2", "--n", "7", "--k", "2", "--format", "csv"]) == code == 0
+    assert len(expected) > 10_000
+    assert stdout.buffer.getvalue() == expected.encode("ascii")
+
+
 def test_verify_into_a_closed_pipe_gets_exit_141_and_no_traceback():
     # The read end is closed before the process starts, as under `| head -0`,
     # so the first write of the claim lines fails.

@@ -112,7 +112,7 @@ def test_scan_n11_constrained_empty():
 
 
 def test_scan_n11_unconstrained_witnesses_are_exactly_the_lifts():
-    report = scan_divisibility(11, 2, ScanConstraints.none())
+    report = scan_divisibility(11, 2, ScanConstraints())
     violating = {
         (a, b)
         for a in range(121)
@@ -125,7 +125,7 @@ def test_scan_n11_unconstrained_witnesses_are_exactly_the_lifts():
 
 def test_scan_cells_scanned_counts_allowed_pairs():
     for constraints in (
-        ScanConstraints.none(),
+        ScanConstraints(),
         ScanConstraints.case_a(),
         ScanConstraints(forbid_a_zero=True),
         ScanConstraints(forbid_sum_zero_mod_n=True),

@@ -21,7 +21,6 @@ from truncbin import (
     factored_u2,
     is_prime,
     padic_valuation,
-    quadratic_form_mod,
     trinomial_rhs_factored,
     truncated2_direct,
     truncated3,
@@ -51,6 +50,7 @@ def test_padic_examples():
     assert padic_valuation(0, 7).is_infinite
     v = padic_valuation(2058, 7)
     assert (v.exponent, v.cofactor) == (3, 6)
+    assert repr(v) == "Valuation(base=7, exponent=3, cofactor=6)"  # as README shows it
 
 
 def test_padic_negative_values():
@@ -281,19 +281,7 @@ def test_trinomial_rhs_at_n11():
 
 
 # ---------------------------------------------------------------------------
-# quadratic form and the valuation lift
-
-def test_quadratic_form_mod_examples():
-    assert quadratic_form_mod(1, 2, 5) == 2
-    assert quadratic_form_mod(1, 2, 7) == 0
-    assert quadratic_form_mod(0, 0, 11) == 0
-
-
-def test_quadratic_form_mod_rejects_bad_arguments():
-    for bad in ((1.5, 2, 7), (1, "2", 7), (True, 2, 7), (1, 2, 0), (1, 2, 7.0), (1, 2, 9)):
-        with pytest.raises(DomainError):
-            quadratic_form_mod(*bad)
-
+# the valuation lift
 
 def test_lift_law():
     # n | a+b with n coprime to ab forces at least n^2 into U(a, b).
