@@ -26,15 +26,17 @@ SERIES_FORMS = ("mixed", "q_minus_a", "q_minus_b")
 # (Sorenson and Webster, 2015).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
+# The plain ints _validate_exponent has accepted: the toolkit's one primality memo.
+_EXPONENTS: set[int] = set()
 
 
-@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n < 3317044064679887385961981.
 
     That bound, about 3.3e24, covers anything that fits in 64 bits.  Larger
     n, and anything but an int, are refused with DomainError rather than
-    guessed.  The cache is typed, so 7.0 does not hit 7's entry.
+    guessed.  It keeps no cache: the primes accepted as exponents are
+    remembered in _EXPONENTS, by _validate_exponent.
     """
     _validate_int("n", n)
     if n < 2:
@@ -64,13 +66,21 @@ def is_prime(n: int) -> bool:
 
 
 def _validate_exponent(n) -> None:
-    """Every exponent and valuation base of the toolkit is an int prime >= 3."""
+    """Every exponent and valuation base of the toolkit is an int prime >= 3.
+
+    A plain int accepted once is answered from _EXPONENTS by one type check and
+    one lookup.  Refusals and int subclasses are never remembered.
+    """
+    if type(n) is int and n in _EXPONENTS:
+        return
     if not isinstance(n, int) or isinstance(n, bool) or n < 3 or not is_prime(n):
         raise DomainError(f"exponent must be a prime >= 3, got {n!r}")
+    if type(n) is int:
+        _EXPONENTS.add(n)
 
 
 def _validate_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
 
 
@@ -83,8 +93,9 @@ class BinomialPair:
     n: int
 
     def __post_init__(self):
-        _validate_int("a", self.a)
-        _validate_int("b", self.b)
+        if type(self.a) is not int or type(self.b) is not int:
+            _validate_int("a", self.a)
+            _validate_int("b", self.b)
         _validate_exponent(self.n)
 
     @property
@@ -103,9 +114,10 @@ class TrinomialTriple:
     n: int
 
     def __post_init__(self):
-        _validate_int("a", self.a)
-        _validate_int("b", self.b)
-        _validate_int("c", self.c)
+        if type(self.a) is not int or type(self.b) is not int or type(self.c) is not int:
+            _validate_int("a", self.a)
+            _validate_int("b", self.b)
+            _validate_int("c", self.c)
         _validate_exponent(self.n)
 
     @property
@@ -120,11 +132,13 @@ class TrinomialTriple:
     @property
     def beta(self) -> int:
         """The cofactor in s = 2 * beta * n; only defined when 2n divides s."""
-        if not self.sum_divisible_by_2n:
+        s = self.s
+        beta, rest = divmod(s, 2 * self.n)
+        if rest:
             raise PreconditionError(
-                f"beta undefined: 2n = {2 * self.n} does not divide a+b+c = {self.s}"
+                f"beta undefined: 2n = {2 * self.n} does not divide a+b+c = {s}"
             )
-        return self.s // (2 * self.n)
+        return beta
 
     def pair_ab(self) -> BinomialPair:
         return BinomialPair(self.a, self.b, self.n)
@@ -136,7 +150,8 @@ class TrinomialTriple:
 
 def truncated2_direct(p: BinomialPair) -> int:
     """U(a, b) = (a + b)**n - a**n - b**n, evaluated directly."""
-    return p.q ** p.n - p.a ** p.n - p.b ** p.n
+    a, b, n = p.a, p.b, p.n
+    return (a + b) ** n - a**n - b**n
 
 
 def _u2_residue(a: int, b: int, n: int, m: int) -> int:
@@ -160,7 +175,8 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     cached row C(n, v)/n of _inner_row, times n, so no term builds powers
     of its own.  The arithmetic is exact, so the value is the sum as written.
     """
-    a, b, n, q = p.a, p.b, p.n, p.q
+    a, b, n = p.a, p.b, p.n
+    q = a + b
     if form == "mixed":
         return n * a * b * _horner(_inner_row(n), a, b)
     if form == "q_minus_a":

@@ -6,7 +6,18 @@ see the lines, or use ``truncbin verify --full`` for the same checks).
 All arithmetic is exact, so every comparison is equality, never within
 a tolerance.
 """
-from truncbin.claims import DEFAULT_SEED, FULL, run_claim
+import random
+
+import pytest
+
+from truncbin.claims import (
+    DEFAULT_SEED,
+    FULL,
+    PAIR_BOUND,
+    _random_triples,
+    _shared_pairs,
+    run_claim,
+)
 
 
 def run(code):
@@ -127,3 +138,27 @@ def test_criterion_11_scan_determinism():
     assert result.details["byte_identical"] is True
     assert result.details["witness_count"] == 4_056
     assert result.details["cells_scanned"] == 22_308
+
+
+# The samples behind the criteria draw what randint(-PAIR_BOUND, PAIR_BOUND)
+# draws, one value after another, and leave the generator where it leaves it.
+
+def randint_draws(rng, count, width):
+    return [
+        tuple(rng.randint(-PAIR_BOUND, PAIR_BOUND) for _ in range(width)) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 12345])
+def test_shared_pairs_match_randint_stream(seed):
+    reference = [(0, 0), (0, 5), (1, -1), (-1, -1), (1, 1)]
+    reference += randint_draws(random.Random(f"{seed}:shared-pairs"), 2_995, 2)
+    assert _shared_pairs(seed, 3_000) == reference
+    assert _shared_pairs(seed, 3) == reference[:3]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 12345])
+def test_random_triples_match_randint_stream(seed):
+    reference_rng, rng = random.Random(seed), random.Random(seed)
+    assert _random_triples(rng, 1_000) == randint_draws(reference_rng, 1_000, 3)
+    assert rng.getstate() == reference_rng.getstate()

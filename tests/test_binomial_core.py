@@ -27,7 +27,7 @@ from truncbin import (
     truncated3_terms,
     u2_mod,
 )
-from truncbin.binomial_core import _inner_row
+from truncbin.binomial_core import _EXPONENTS, _inner_row
 
 EXPONENTS = (3, 5, 7, 11, 13)
 
@@ -111,7 +111,7 @@ def test_is_prime_refuses_non_integers():
     for bad in (7.0, 2.0, "7", True, None):
         with pytest.raises(DomainError, match="int"):
             is_prime(bad)
-    # The cache is typed: 7.0 neither reads nor writes 7's entry.
+    # 7.0 stays refused once 7 has been decided, and 7 stays prime.
     assert is_prime(7) and is_prime(2)
     with pytest.raises(DomainError):
         is_prime(7.0)
@@ -140,6 +140,64 @@ def test_pair_rejects_non_integers():
         BinomialPair(1.5, 2, 3)
     with pytest.raises(DomainError):
         TrinomialTriple(1, 2, "3", 5)
+
+
+class Int(int):
+    """An int subclass: accepted wherever an int is, never by the plain-int fast path."""
+
+
+@pytest.mark.parametrize("bad_n", [7.0, True, "7", None])
+def test_accepted_exponent_does_not_admit_lookalikes(bad_n):
+    BinomialPair(1, 2, 7)
+    TrinomialTriple(1, 2, 3, 7)
+    message = f"^exponent must be a prime >= 3, got {bad_n!r}$"
+    for call in (
+        lambda: BinomialPair(1, 2, bad_n),
+        lambda: TrinomialTriple(1, 2, 3, bad_n),
+        lambda: padic_valuation(18, bad_n),
+    ):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("bad_n", [9, PSI_12])
+def test_refused_exponent_is_refused_again(bad_n):
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"^exponent must be a prime >= 3, got {bad_n}$"):
+            BinomialPair(1, 2, bad_n)
+    assert bad_n not in _EXPONENTS
+
+
+@pytest.mark.parametrize(
+    "bad, kind", [(True, "bool"), (1.5, "float"), ("3", "str"), (None, "NoneType")]
+)
+def test_operand_refusals_after_plain_int_call(bad, kind):
+    BinomialPair(1, 2, 7)
+    TrinomialTriple(1, 2, 3, 7)
+    for name, call in (
+        ("a", lambda: BinomialPair(bad, 2, 7)),
+        ("b", lambda: BinomialPair(1, bad, 7)),
+        ("a", lambda: TrinomialTriple(bad, 2.5, 3, 7)),
+        ("b", lambda: TrinomialTriple(1, bad, 3, 7)),
+        ("c", lambda: TrinomialTriple(1, 2, bad, 7)),
+        ("value", lambda: gcd_normalize([4, bad])),
+        ("x", lambda: padic_valuation(bad, 7)),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be an int, got {kind}$"):
+            call()
+
+
+def test_int_subclass_operands_and_exponents_are_accepted():
+    BinomialPair(1, 2, 7)
+    assert truncated2_direct(BinomialPair(Int(1), Int(2), 7)) == 2058
+    assert truncated3(TrinomialTriple(1, Int(1), 4, 3)) == u2_oracle(1, 1, 3) + u2_oracle(2, 4, 3)
+    assert truncated2_direct(BinomialPair(1, 2, Int(7))) == 2058
+    assert padic_valuation(Int(18), Int(3)).exponent == 2
+    # A subclass is checked in full every time, so none is remembered.
+    BinomialPair(1, 2, Int(2**31 - 1))
+    assert all(type(n) is int for n in _EXPONENTS)
+    with pytest.raises(DomainError, match="^exponent must be a prime >= 3, got 9$"):
+        BinomialPair(1, 2, Int(9))
 
 
 def test_derived_quantities():
