@@ -98,11 +98,6 @@ class BinomialPair:
             _validate_int("b", self.b)
         _validate_exponent(self.n)
 
-    @property
-    def q(self) -> int:
-        """The sum a + b."""
-        return self.a + self.b
-
 
 @dataclass(frozen=True)
 class TrinomialTriple:

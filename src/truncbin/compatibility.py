@@ -50,6 +50,10 @@ class VerdictKind(enum.Enum):
     TRIVIAL_ONLY = "TrivialOnly"
 
 
+# What a Case-A tier reports, by whether its comparison decides the instance.
+_TIER_KIND = {True: VerdictKind.INCOMPATIBLE, False: VerdictKind.UNDETERMINED}
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a compatibility check plus the values that drove it."""
@@ -242,33 +246,20 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
     v_sum = padic_valuation(u_ab + u_qc, n)
     lhs_valuation = n * (1 + padic_valuation(beta, n).exponent)
 
-    rule_kind = (
-        VerdictKind.INCOMPATIBLE if v1.exponent < 2 else VerdictKind.UNDETERMINED
-    )
-    exact_kind = (
-        VerdictKind.INCOMPATIBLE
-        if v_sum.exponent < lhs_valuation
-        else VerdictKind.UNDETERMINED
-    )
-
-    if rule_kind is VerdictKind.INCOMPATIBLE:
+    rule_decides = v1.exponent < 2
+    exact_decides = v_sum.exponent < lhs_valuation
+    if rule_decides:
         reason = "rule:u-ab-valuation-below-2"
-    elif exact_kind is VerdictKind.INCOMPATIBLE:
+    elif exact_decides:
         reason = "exact:sum-valuation-below-left-side"
     else:
         reason = "undetermined:valuations-compatible"
-
-    overall = (
-        VerdictKind.INCOMPATIBLE
-        if VerdictKind.INCOMPATIBLE in (rule_kind, exact_kind)
-        else VerdictKind.UNDETERMINED
-    )
     return Verdict(
-        kind=overall,
+        kind=_TIER_KIND[rule_decides or exact_decides],
         reason=reason,
         evidence={
-            "rule_tier": rule_kind,
-            "exact_tier": exact_kind,
+            "rule_tier": _TIER_KIND[rule_decides],
+            "exact_tier": _TIER_KIND[exact_decides],
             "v_u_ab": v1,
             "v_u_qc": v2,
             "v_sum": v_sum,

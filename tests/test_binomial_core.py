@@ -201,7 +201,6 @@ def test_int_subclass_operands_and_exponents_are_accepted():
 
 
 def test_derived_quantities():
-    assert BinomialPair(3, 4, 5).q == 7
     t = TrinomialTriple(1, 1, 4, 3)
     assert t.s == 6
     assert t.sum_divisible_by_2n
