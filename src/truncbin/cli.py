@@ -3,9 +3,10 @@
 Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
 scan (u2|quadratic), verify.  Every run emits one report envelope
 (command, echoed inputs, result, timing) as text or JSON; scans can
-also emit their witnesses as CSV.  JSON comes from one encoder,
-residue_scan._dumps, and the pairs of both JSON and CSV from one row
-renderer, residue_scan._write_rows; tests/test_cli_golden.py and
+also emit their witnesses as CSV.  Every report goes to stdout through
+one writer as it is rendered: JSON from residue_scan._dump, and the pairs
+of JSON, CSV and text from one row renderer, residue_scan._write_rows, a
+write per row, so no report is held whole.  tests/test_cli_golden.py and
 perfbench/goldens.json pin their bytes.
 
 Exit codes are part of the contract:
@@ -50,7 +51,8 @@ from .errors import DomainError, PreconditionError, ScanBudgetError
 from .residue_scan import (
     DEFAULT_CELL_BUDGET,
     ScanConstraints,
-    _dumps,
+    _dump,
+    _PairRows,
     _write_rows,
     scan_divisibility,
     scan_quadratic,
@@ -107,30 +109,52 @@ def _verdict_payload(verdict):
     }
 
 
-def _print_text_block(payload, indent=""):
+def _write_text_block(write, payload, indent=""):
     for key, value in payload.items():
         if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_text_block(value, indent + "  ")
+            write(f"{indent}{key}:\n")
+            _write_text_block(write, value, indent + "  ")
+        elif type(value) is _PairRows:  # a scan's pairs, as the repr of a list of [a, b]
+            write(f"{indent}{key}: [")
+            _write_rows(value.rows, "[%d, ", ", ", "]", value.size, write)
+            write("]\n")
         else:
-            print(f"{indent}{key}: {value}")
+            write(f"{indent}{key}: {value}\n")
 
 
-def _print_claims(payload, timing_ms):
+def _write_claims(write, payload, timing_ms):
     """The text form of verify: one line per claim, then a summary."""
     results = payload["results"]
     for row in results:
-        print(format_claim_line(ClaimResult(**row)))
+        write(format_claim_line(ClaimResult(**row)) + "\n")
     failed = [row["code"] for row in results if not row["passed"]]
     if failed:
         summary = f"{len(failed)} claim(s) failed: {', '.join(failed)}"
     else:
         summary = f"all {len(results)} claims passed"
-    print(f"# {summary} ({timing_ms:.0f} ms total)")
+    write(f"# {summary} ({timing_ms:.0f} ms total)\n")
+
+
+def _stdout_writer():
+    """A write(text) that puts every byte of text on stdout or raises."""
+    stdout = sys.stdout
+    if not hasattr(stdout, "buffer"):  # an io.StringIO, which has no buffer
+        return stdout.write
+    # TextIOWrapper drops the short count of a large write that a closed
+    # pipe cuts off, so write bytes until all are out or a write raises.
+    stdout.flush()
+
+    def write(text):
+        data = memoryview(text.encode(stdout.encoding, stdout.errors))
+        while data:
+            data = data[stdout.buffer.write(data):]
+
+    return write
 
 
 def _emit(args, inputs, payload, seconds):
     timing_ms = round(seconds * 1000.0, 3)
+    write = _stdout_writer()
     if args.format == "json":
         envelope = {
             "command": args.name,
@@ -138,22 +162,16 @@ def _emit(args, inputs, payload, seconds):
             "result": payload,
             "timing_ms": timing_ms,
         }
-        print(_dumps(envelope))
-    elif args.format == "csv" and hasattr(sys.stdout, "buffer"):
-        # TextIOWrapper drops the short count of a large write that a closed
-        # pipe cuts off, so write bytes until all are out or a write raises.
-        sys.stdout.flush()
-        data = memoryview(payload.encode(sys.stdout.encoding))
-        while data:
-            data = data[sys.stdout.buffer.write(data):]
-    elif args.format == "csv":  # an io.StringIO, which has no buffer
-        sys.stdout.write(payload)
+        _dump(envelope, write)
+        write("\n")
+    elif args.format == "csv":
+        payload(write)
     elif args.name == "verify":
-        _print_claims(payload, timing_ms)
+        _write_claims(write, payload, timing_ms)
     else:
-        print(f"# {args.name}")
-        _print_text_block(payload)
-        print(f"# elapsed: {timing_ms} ms")
+        write(f"# {args.name}\n")
+        _write_text_block(write, payload)
+        write(f"# elapsed: {timing_ms} ms\n")
 
 
 def _echo(args):
@@ -258,12 +276,18 @@ def _resolve_budget(flag):
 
 
 def _scan_payload(args, report, k, rows, size):
-    """What a scan prints: CSV text of its pairs, held as rows (a, cols)
-    with every column in range(size); else the report itself, which
-    _dumps writes as JSON, or its to_jsonable() dict for the text form."""
-    if args.format == "csv":
-        return "n,k,a_res,b_res\r\n" + _write_rows(rows, f"{report.n},{k},%d,", "", "\r\n", size)
-    return report if args.format == "json" else report.to_jsonable()
+    """What a scan prints: for CSV, a function that writes the header and
+    the pairs, held as rows (a, cols) with every column in range(size);
+    else the report's dict with its pair lists held as _PairRows, which
+    _dump writes as JSON and the text form as list reprs."""
+    if args.format != "csv":
+        return report._payload(_PairRows)
+
+    def write_csv(write):
+        write("n,k,a_res,b_res\r\n")
+        _write_rows(rows, f"{report.n},{k},%d,", "", "\r\n", size, write)
+
+    return write_csv
 
 
 def cmd_scan_u2(args):

@@ -17,8 +17,10 @@ rows a = a0 (mod P).  cells_scanned counts grid cells.
 
 A report stores the rows the scan computes, (a, cols) for each row with
 a witness, not one pair per witness; the flat witnesses are derived from
-them.  JSON and CSV write each row with one join of precomputed column
-strings (_write_rows), so writing a report builds no per-pair object.
+them.  JSON (_dump), CSV and the text form write each row with one join
+of precomputed column strings (_write_rows) and hand it to a write
+function at once, so writing a report builds no per-pair object and never
+holds the whole text.
 """
 from __future__ import annotations
 
@@ -101,7 +103,7 @@ class ScanReport:
 
     def to_json(self) -> str:
         """Deterministic serialization; identical runs give identical bytes."""
-        return _dumps(self)
+        return _dumps(self._payload(_PairRows))
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class QuadraticScanReport:
         return self._payload(_pair_list)
 
     def to_json(self) -> str:
-        return _dumps(self)
+        return _dumps(self._payload(_PairRows))
 
 
 def _pair_list(rows, size):
@@ -143,47 +145,61 @@ def _pair_list(rows, size):
     return [[a, b] for a, cols in rows for b in cols]
 
 
-# Pairs held as rows (a, cols), every column in range(size), for _dumps
+# Pairs held as rows (a, cols), every column in range(size), for _dump
 # to write as a JSON list of [a, b].
 _PairRows = namedtuple("_PairRows", "rows size")
 
 
-def _write_rows(rows, head, between, tail, size):
-    """The pairs (a, b) of rows (a, cols) in one text, joined by between.
+def _write_rows(rows, head, between, tail, size, write):
+    """Write the pairs (a, b) of rows (a, cols), joined by between.
 
     A pair is head % a, then b, then tail.  Within a row only b changes, so
-    a row is one join of its column strings, made once for range(size).
+    a row is one join of its column strings, made once for range(size), and
+    one write, with between before every row but the first.
     """
     text = list(map(str, range(size))).__getitem__ if rows else None
-    out = []
+    lead = ""
     for a, cols in rows:
         first = head % a
-        out.append(first + (tail + between + first).join(map(text, cols)) + tail)
-    return between.join(out)
+        write(lead + first + (tail + between + first).join(map(text, cols)) + tail)
+        lead = between
 
 
-def _dumps(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), nested at indent, in the same bytes.
+def _dump(value, write, indent: str = "") -> None:
+    """Write json.dumps(value, indent=2), nested at indent, in the same bytes.
 
-    A scan report is written as its to_jsonable() dict with each list of
-    pairs held as _PairRows, which _write_rows writes straight from the
-    rows: with indent set, json runs its pure-Python encoder, some ten
-    chunks per pair.  Dicts with str keys are walked; every other value is
-    json.dumps's own text.
+    A scan report is written as its _payload(_PairRows) dict, whose pair
+    lists _write_rows writes straight from the rows, one write per row:
+    with indent set, json runs its pure-Python encoder, some ten chunks per
+    pair.  Dicts with str keys are walked, one write per member; every other
+    value is json.dumps's own text.  Only values computed before the first
+    write reach write, so a value that cannot be rendered (an int past the
+    interpreter's int-to-str limit) fails before any byte goes out.
     """
     inner = indent + "  "
-    if type(value) in (ScanReport, QuadraticScanReport):
-        value = value._payload(_PairRows)
     if type(value) is dict and value and all(type(key) is str for key in value):
-        items = [f"{inner}{json.dumps(key)}: {_dumps(item, inner)}" for key, item in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(value) is _PairRows:
-        if not value.rows:
-            return "[]"
+        lead = "{\n"
+        for key, item in value.items():
+            write(f"{lead}{inner}{json.dumps(key)}: ")
+            _dump(item, write, inner)
+            lead = ",\n"
+        write("\n" + indent + "}")
+    elif type(value) is _PairRows and value.rows:
+        write("[\n")
         head = f"{inner}[\n{inner}  %d,\n{inner}  "
-        pairs = _write_rows(value.rows, head, ",\n", f"\n{inner}]", value.size)
-        return "[\n" + pairs + "\n" + indent + "]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        _write_rows(value.rows, head, ",\n", f"\n{inner}]", value.size, write)
+        write("\n" + indent + "]")
+    elif type(value) is _PairRows:
+        write("[]")
+    else:
+        write(json.dumps(value, indent=2).replace("\n", "\n" + indent))
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2) in the same bytes: _dump's pieces joined."""
+    pieces = []
+    _dump(value, pieces.append)
+    return "".join(pieces)
 
 
 def u2_mod(a_res: int, b_res: int, n: int, m: int) -> int:

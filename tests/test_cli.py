@@ -4,9 +4,11 @@ Exit codes: 0 ok, 1 verify failure, 2 parse/validation, 3 precondition,
 4 expectation violated, 5 budget exceeded, 141 stdout closed early.
 """
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,8 @@ import pytest
 import truncbin
 from truncbin import ScanConstraints, scan_divisibility
 from truncbin.cli import EXIT_BROKEN_PIPE, main
+
+PERFBENCH_GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens.json"
 
 
 def run_cli(capsys, *argv):
@@ -428,8 +432,8 @@ def test_reader_that_stops_after_one_line_gets_exit_141_and_no_traceback():
 
 
 def test_csv_reader_that_stops_after_one_line_gets_exit_141():
-    # About 480 kB of CSV, written as one payload: the write that the closed
-    # pipe cuts short must still end in exit 141, not exit 0 with lost rows.
+    # About 480 kB of CSV, written row by row: the write that the closed pipe
+    # cuts short must still end in exit 141, not exit 0 with lost rows.
     proc = _spawn(["scan", "u2", "--n", "23", "--k", "2", "--format", "csv"], subprocess.PIPE)
     assert proc.stdout.readline() == b"n,k,a_res,b_res\r\n"
     proc.stdout.close()
@@ -438,19 +442,69 @@ def test_csv_reader_that_stops_after_one_line_gets_exit_141():
     assert err == b"", err
 
 
-def test_csv_is_written_in_full_through_short_writes(capsys, monkeypatch):
-    # A binary buffer that takes at most 1000 bytes a call, as a pipe may:
-    # every byte still arrives, in order, and none twice.
+def _through_short_writes(capsys, monkeypatch, fmt):
+    """The scan's output, and what a buffer that takes at most 1000 bytes a
+    call, as a pipe may, receives of it; timing_ms is masked in both."""
     class ShortBuffer(io.BytesIO):
         def write(self, data):
             return super().write(bytes(data[:1000]))
 
-    code, expected, _ = run_cli(capsys, "scan", "u2", "--n", "7", "--k", "2", "--format", "csv")
+    argv = ["scan", "u2", "--n", "7", "--k", "2", "--format", fmt]
+    code, expected, _ = run_cli(capsys, *argv)
     stdout = io.TextIOWrapper(ShortBuffer(), encoding="ascii", newline="")
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["scan", "u2", "--n", "7", "--k", "2", "--format", "csv"]) == code == 0
+    assert main(argv) == code == 0
     assert len(expected) > 10_000
-    assert stdout.buffer.getvalue() == expected.encode("ascii")
+    return _mask_timing(expected), _mask_timing(stdout.buffer.getvalue().decode("ascii"))
+
+
+def _mask_timing(out):
+    return re.sub(r'"timing_ms": .*', '"timing_ms": X', out)
+
+
+def test_csv_is_written_in_full_through_short_writes(capsys, monkeypatch):
+    # Every byte still arrives, in order, and none twice.
+    expected, received = _through_short_writes(capsys, monkeypatch, "csv")
+    assert received == expected
+
+
+def test_json_is_written_in_full_through_short_writes(capsys, monkeypatch):
+    expected, received = _through_short_writes(capsys, monkeypatch, "json")
+    assert received == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_reports_go_out_in_bounded_writes(monkeypatch, fmt):
+    # n = 37 unconstrained: 10.5 MB of JSON or 3.6 MB of CSV, about 8 kB a
+    # row.  Written as it is rendered, no write carries more than a few rows.
+    argv = ["scan", "u2", "--n", "37", "--k", "2", "--workers", "1", "--format", fmt]
+    golden = json.loads(PERFBENCH_GOLDENS.read_text())[" ".join(argv)]
+    writes = []
+
+    class RecordingBuffer(io.BytesIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    stdout = io.TextIOWrapper(RecordingBuffer(), encoding="ascii", newline="")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == golden["exit"] == 0
+    out = stdout.buffer.getvalue().decode("ascii")
+    if fmt == "json":  # the digest covers the "result" member, as printed
+        key = '\n  "result": '
+        out = out[out.index(key) + len(key):out.rindex(',\n  "timing_ms": ')]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+    assert sum(writes) > 3_000_000
+    assert max(writes) <= 64 * 1024
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+def test_a_value_past_the_digit_limit_fails_before_the_first_byte(capsys):
+    # U(2, 3) at n = 7001 has 4894 digits, past CPython's int-to-str limit of
+    # 4300.  Its str() runs in cmd_compute, before anything is written.
+    with pytest.raises(ValueError):
+        main(["compute", "--a", "2", "--b", "3", "--n", "7001", "--format", "json"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_into_a_closed_pipe_gets_exit_141_and_no_traceback():
