@@ -51,11 +51,12 @@ from .residue_scan import (
 )
 from .valuation import (
     INFINITE,
+    UnitValuation,
     Valuation,
     factored_u2,
     padic_valuation,
     trinomial_rhs_factored,
-    u2_valuation,
+    u3_valuations,
 )
 
 __version__ = "0.1.0"

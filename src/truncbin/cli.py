@@ -19,7 +19,8 @@ Exit codes are part of the contract:
   141  stdout was closed before the report was written (128 + SIGPIPE)
 
 Arbitrary-size integers cross the boundary as decimal strings so that
-downstream JSON tooling cannot round them.
+downstream JSON tooling cannot round them.  n-adic exponents and units
+mod n are JSON numbers, an infinite exponent the string "infinite".
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from .residue_scan import (
     scan_divisibility,
     scan_quadratic,
 )
-from .valuation import INFINITE, Valuation
+from .valuation import INFINITE, UnitValuation
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -86,26 +87,21 @@ def _exponent(exponent):
     return "infinite" if exponent == INFINITE else exponent
 
 
-def _jsonable(value):
-    """Evidence values: enums by name, valuations structured, ints as strings."""
+def _jsonable(key, value):
+    """An evidence member: tiers by name, a valuation as base, exponent and unit,
+    members named *_valuation as exponents, and other ints as decimal strings."""
     if isinstance(value, VerdictKind):
         return value.value
-    if isinstance(value, Valuation):
-        return {
-            "base": value.base,
-            "exponent": _exponent(value.exponent),
-            "cofactor": str(value.cofactor),
-        }
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    return _exponent(value)
+    if isinstance(value, UnitValuation):
+        return {"base": value.base, "exponent": _exponent(value.exponent), "unit": value.unit}
+    return _exponent(value) if key.endswith("_valuation") else str(value)
 
 
 def _verdict_payload(verdict):
     return {
         "kind": verdict.kind.value,
         "reason": verdict.reason,
-        "evidence": {k: _jsonable(v) for k, v in verdict.evidence.items()},
+        "evidence": {k: _jsonable(k, v) for k, v in verdict.evidence.items()},
     }
 
 

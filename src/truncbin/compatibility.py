@@ -35,10 +35,9 @@ from .binomial_core import (
     _validate_exponent,
     _validate_int,
     gcd_normalize,
-    truncated3_terms,
 )
 from .errors import InconsistentCaseError, PreconditionError
-from .valuation import padic_valuation, u2_valuation
+from .valuation import padic_valuation, u3_valuations
 
 PARITY_BOTH_ODD = "both-odd"
 PARITY_ONE_EVEN = "one-even"
@@ -217,11 +216,16 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
     silent (Undetermined).
 
     Exact tier: computes v1 = v_n(U(a, b)), v2 = v_n(U(a+b, c)) and
-    v_sum = v_n of their sum, and compares v_sum against the left-side
-    valuation n * (1 + v_n(beta)) (beta may itself carry powers of n).
-    Incompatible whenever v_sum falls short.  This tier decides instances
-    the rule tier leaves open and is labeled separately in the evidence
-    so the two are distinguishable.
+    v_sum = v_n of their sum, U(a, b, c), and compares v_sum against the
+    left-side valuation n * (1 + v_n(beta)) (beta may itself carry powers
+    of n).  Incompatible whenever v_sum falls short.  This tier decides
+    instances the rule tier leaves open and is labeled separately in the
+    evidence so the two are distinguishable.
+
+    No U is built: valuation.u3_valuations takes all three valuations from
+    the residues of a^n, b^n, c^n, (a+b)^n and (a+b+c)^n mod n**K, five
+    modular powers per K.  Each valuation in the evidence is a
+    UnitValuation, its exponent with U's unit (U / n**exponent) mod n.
     """
     classification = classify_divisibility_case(t)
     if classification.kind != "A":
@@ -240,10 +244,7 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
 
     n = t.n
     beta = t.beta
-    u_ab, u_qc = truncated3_terms(t)
-    v1 = padic_valuation(u_ab, n)
-    v2 = padic_valuation(u_qc, n)
-    v_sum = padic_valuation(u_ab + u_qc, n)
+    v1, v2, v_sum = u3_valuations(t)
     lhs_valuation = n * (1 + padic_valuation(beta, n).exponent)
 
     rule_decides = v1.exponent < 2
@@ -294,9 +295,10 @@ def case_B_consistency_check(t: TrinomialTriple) -> CaseBReport:
     This is a checker, not a solver: mismatches are reported, not raised.
 
     The observed v_n(U(a, b)) and v_n(U(q, c)) are computed, not read
-    from those formulas: u2_valuation takes each from U mod n**K, which
+    from those formulas: u3_valuations takes each from U mod n**K, which
     is as exact as dividing the fully built U and much cheaper at the
-    valuations Case B produces (hundreds at n = 101).
+    valuations Case B produces (hundreds at n = 101).  As n divides q and
+    c, n**n or more comes out of U(q, c) before any residue is taken.
     """
     classification = classify_divisibility_case(t)
     if classification.kind != "B":
@@ -320,8 +322,8 @@ def case_B_consistency_check(t: TrinomialTriple) -> CaseBReport:
     vbeta = padic_valuation(relabeled.beta, n)
     expected = case_B_exponents(vc.exponent, n)
 
-    u_ab = u2_valuation(relabeled.pair_ab())
-    u_qc = u2_valuation(relabeled.pair_qc())
+    v_ab, v_qc, _ = u3_valuations(relabeled)
+    u_ab, u_qc = v_ab.exponent, v_qc.exponent
     u_ab_expected = vq.exponent + 1
     u_qc_expected = vq.exponent + 1 + vc.exponent * (n - 1)
 

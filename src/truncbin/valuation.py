@@ -4,7 +4,8 @@ A Valuation splits an integer into cofactor * base**exponent with the base
 not dividing the cofactor, which is the shape every "divisible by n**k"
 statement in the compatibility module reduces to.  Zero gets the INFINITE
 exponent sentinel so that a vanishing binomial can flow through the same
-comparisons as everything else.
+comparisons as everything else.  A UnitValuation keeps only the cofactor
+mod the base: it is what the valuations of U taken from residues give.
 
 Closed forms
 ------------
@@ -34,31 +35,47 @@ printed right-hand side term for term, e.g. 3q(ab + 2*beta*c*3) at n = 3.
 
 Valuations modulo n^K
 ---------------------
-u2_valuation takes v_n(U(a, b)) without building U.  For any K, the
-residue r = U mod n^K comes from three modular powers, and a nonzero r
-has the valuation of U, since v_n(U) < K.  K starts at 2 and doubles
-while r is zero.  The doubling stops at a K_max exact for the pair: with
-B = bits(max(|a|, |b|)), |a + b| < 2^(B+1) and |a|, |b| < 2^B, so
+u3_valuations takes the valuations of U(a, b), U(q, c) and
+U(a, b, c) = U(a, b) + U(q, c), with q = a + b and s = q + c, without
+building any of them.  For any K their residues mod n^K come from
+x^n mod n^K for x in a, b, c, q and s: five modular powers per K,
+shared by the three.  A nonzero residue r has the valuation v of U,
+since v_n(r) < K and U = r (mod n^K), and U's unit (U / n^v) mod n is
+(r / n^v) mod n.  K starts at 4 and doubles while a residue is zero: in
+Case A (n | s, n not dividing c) n^2 always divides U(q, c), so K = 2
+would decide nothing there.
 
-    |U| <= |a + b|^n + |a|^n + |b|^n < 2^(n(B+1)+1) <= n^K_max.
+U is homogeneous of degree n: when n^g divides a and b, U(a, b) =
+n^(ng) U(a/n^g, b/n^g), and the residues are those of the second factor;
+likewise for U(q, c) when n^g divides q and c, as in Case B, where this
+takes n^n or more out of U(q, c).  As n is odd, U(a, b) is 0 when a, b
+or a + b is, U(q, c) when q, c or s is, and U(a, b, c) when a + b, b + c
+or c + a is; such a zero is known before any power is taken.
 
-A nonzero U therefore has v_n(U) < K_max, and a zero residue at K_max
-means U = 0, whose valuation is INFINITE.  Each modular power works on
-numbers of K log2(n) bits, while U itself has about n B bits and
-padic_valuation divides it once per unit of valuation.
+Any other zero stops the doubling at a K_max exact for the triple: with
+B the bit length of the largest of |a|, |b|, |c|, |q| and |s| over the
+n-power they share, each U over its n^(ng) is a sum of at most four
+n-th powers below 2^(nB), so
+
+    |U / n^(ng)| < 4 * 2^(nB) = 2^(nB+2) <= n^K_max,
+
+and a zero residue at K_max means U = 0, whose valuation is INFINITE.
+Each modular power works on numbers of K log2(n) bits, while U itself
+has about n B bits and padic_valuation divides it once per unit of
+valuation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
     _horner,
     _inner_row,
-    _u2_residue,
     _validate_exponent,
     _validate_int,
 )
@@ -109,24 +126,61 @@ def _strip(x: int, p: int) -> tuple[int, int]:
     return k, x
 
 
-def u2_valuation(p: BinomialPair) -> int | float:
-    """v_n(U(a, b)) from U mod n**K, without building U.
+class UnitValuation(NamedTuple):
+    """v_n(U) and U's unit: (U / base**exponent) mod base, in 1 .. base-1.
 
-    Equals padic_valuation(truncated2_direct(p), p.n).exponent, INFINITE
-    when U = 0.  See the module docstring for why the largest K is exact.
+    What u3_valuations gives in place of a Valuation: the unit is the
+    cofactor reduced mod base, so it stays a few digits however large U
+    is.  exponent is INFINITE, and unit 0, exactly when U = 0.  A tuple,
+    not a dataclass, because every verdict builds three.
     """
-    a, b, n = p.a, p.b, p.n
-    bound = n * (max(abs(a), abs(b)).bit_length() + 1) + 1
-    k_max = -(-bound // (n.bit_length() - 1))  # n**k_max >= 2**bound > |U|
-    k = 2
+
+    base: int
+    exponent: int | float
+    unit: int
+
+
+def u3_valuations(t: TrinomialTriple) -> tuple[UnitValuation, UnitValuation, UnitValuation]:
+    """The valuations of U(a, b), U(a+b, c) and U(a, b, c), from U mod n**K.
+
+    Each exponent equals padic_valuation of the built U, INFINITE when
+    U = 0, and each unit that Valuation's cofactor mod n.  See the module
+    docstring for the shared powers and why the largest K is exact.
+    """
+    a, b, c, n = t.a, t.b, t.c, t.n
+    q, s = a + b, t.s
+    # U(a, b) = n**(n*g1) * U1 with d1 = n**g1 dividing a and b, U(q, c) =
+    # n**(n*g2) * U2 with d2 = n**g2 dividing q and c, so U(a, b, c) =
+    # n**(n*g3) * U3 with g3 = min(g1, g2).  A gcd of 0 gets g = 0; its U is 0.
+    g1 = _strip(math.gcd(a, b) or 1, n)[0]
+    g2 = _strip(math.gcd(q, c) or 1, n)[0]
+    g3 = min(g1, g2)
+    d1, d2, d3 = n**g1, n**g2, n**g3
+    x0, x1, x2 = q // d1, a // d1, b // d1
+    y0, y1, y2 = s // d2, q // d2, c // d2
+    zero = (a * b * q == 0, q * c * s == 0, q * (b + c) * (a + c) == 0)
+    bits = (max(abs(a), abs(b), abs(c), abs(q), abs(s)) // d3).bit_length()
+    k_max = -(-(n * bits + 2) // (n.bit_length() - 1))  # n**k_max > 4 * 2**(n*bits)
+    k = 4
     while True:
         k = min(k, k_max)
-        residue = _u2_residue(a, b, n, n**k)
-        if residue:
-            return _strip(residue, n)[0]
-        if k == k_max:
-            return INFINITE
+        m = n**k
+        pq = pow(x0, n, m)
+        r1 = (pq - pow(x1, n, m) - pow(x2, n, m)) % m
+        r2 = (pow(y0, n, m) - (pq if y1 == x0 else pow(y1, n, m)) - pow(y2, n, m)) % m
+        r3 = (pow(n, n * (g1 - g3), m) * r1 + pow(n, n * (g2 - g3), m) * r2) % m
+        # A nonzero residue keeps its valuation at every larger K.
+        if k == k_max or (r1 or zero[0]) and (r2 or zero[1]) and (r3 or zero[2]):
+            return _unit(r1, n, g1), _unit(r2, n, g2), _unit(r3, n, g3)
         k *= 2
+
+
+def _unit(residue: int, n: int, g: int) -> UnitValuation:
+    """The valuation of n**(n*g) * U from residue = U mod n**K, nonzero or U = 0."""
+    if not residue:
+        return UnitValuation(n, INFINITE, 0)
+    v, unit = _strip(residue, n)
+    return UnitValuation(n, n * g + v, unit % n)
 
 
 def factored_u2(p: BinomialPair) -> int:

@@ -87,6 +87,12 @@ CASES = [
     [*_EQ3, "--a", "3", "--b", "3", "--c", "1", "--n", "3"],
     [*_EQ3, "--a", "0", "--b", "0", "--c", "0", "--n", "3"],
     [*_EQ3, *_PAIR, "--n", "3"],
+    # U(1, 2) at n = 10007 has 4775 digits; the verdict is decided from residues.
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "20011", "--n", "10007"],
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "20011", "--n", "10007", "--format", "json"],
+    # c lifted so that the equation holds mod 7^14: v_sum = lhs = 14, both tiers silent.
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "1415372820201", "--n", "7"],
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "1415372820201", "--n", "7", "--format", "json"],
     # verdict exponents
     ["verdict", "exponents", "--rho-c", "1", "--n", "5"],
     ["verdict", "exponents", "--rho-c", "3", "--n", "7", "--format", "json"],

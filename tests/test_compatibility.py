@@ -1,6 +1,7 @@
 """Compatibility verdict and case-analysis tests."""
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,8 +23,10 @@ from truncbin import (
     classify_divisibility_case,
     necessary_conditions_2,
     padic_valuation,
+    scan_quadratic,
     truncated2_direct,
 )
+from truncbin.claims import _sample_case_a_triple
 
 
 def sample_case_a_triple(rng, n, bound=10**5):
@@ -196,6 +199,61 @@ def test_case_b_exponents_satisfy_relations():
             p = case_B_exponents(rho_c, n)
             assert p.rho_beta == rho_c - 1
             assert p.rho_q == n * rho_c - 1
+
+
+def case_a_reference(t):
+    """case_A_verdict's tiers, exponents and units on the exact path: U(a, b)
+    and U(a+b, c) built in full and divided by n."""
+    n = t.n
+    u_ab, u_qc = truncated2_direct(t.pair_ab()), truncated2_direct(t.pair_qc())
+    valuations = [padic_valuation(u, n) for u in (u_ab, u_qc, u_ab + u_qc)]
+    lhs = n * (1 + padic_valuation(t.beta, n).exponent)
+    return {
+        "tiers": (valuations[0].exponent < 2, valuations[2].exponent < lhs),
+        "valuations": [(v.exponent, 0 if v.is_infinite else v.cofactor % n) for v in valuations],
+        "lhs_valuation": lhs,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
+def test_case_a_verdict_matches_the_exact_path(n):
+    # The catalog's II.A sampler; at n = 7 every third triple has 7 | a^2 + ab + b^2,
+    # and (1, 2, 1415372820201) solves the equation mod 7^14, so v_sum = lhs.
+    rng = random.Random(f"case-a-oracle:{n}")
+    residues = scan_quadratic(7).zero_pairs if n == 7 else None
+    triples = [_sample_case_a_triple(rng, n, residues if i % 3 == 0 else None) for i in range(100)]
+    if n == 7:
+        triples.append(TrinomialTriple(1, 2, 1415372820201, 7))
+    for t in triples:
+        v = case_A_verdict(t)
+        tiers = (v.evidence["rule_tier"], v.evidence["exact_tier"])
+        seen = {
+            "tiers": tuple(tier is VerdictKind.INCOMPATIBLE for tier in tiers),
+            "valuations": [(v.evidence[key].exponent, v.evidence[key].unit)
+                           for key in ("v_u_ab", "v_u_qc", "v_sum")],
+            "lhs_valuation": v.evidence["lhs_valuation"],
+        }
+        assert seen == case_a_reference(t), (t.a, t.b, t.c)
+        assert (v.kind is VerdictKind.INCOMPATIBLE) == any(seen["tiers"])
+
+
+def test_no_verdict_builds_u():
+    # At n = 1000003 one n-th power of a 20-bit operand takes about 2.5 MB.  The
+    # Case-B U(q, c) has valuation n + 1 here; n^n is divided out of it first.
+    n = 1_000_003
+    case_a = TrinomialTriple(999_983, 1_000_037, 4 * n - 2_000_020, n)
+    case_b = TrinomialTriple(400_001, 600_002, n, n)
+    tracemalloc.start()
+    try:
+        verdict = case_A_verdict(case_a)
+        report = case_B_consistency_check(case_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert verdict.evidence["v_u_ab"].exponent == 1
+    assert (report.u_ab_valuation, report.u_qc_valuation) == (2, n + 1)
+    assert report.u_ab_matches and report.u_qc_matches
 
 
 def test_case_b_consistency_mismatch_example():

@@ -24,7 +24,7 @@ from truncbin import (
     trinomial_rhs_factored,
     truncated2_direct,
     truncated3,
-    u2_valuation,
+    u3_valuations,
 )
 from truncbin.valuation import _cm_factor
 
@@ -99,13 +99,30 @@ def test_valuation_multiplicative_law():
 
 
 # ---------------------------------------------------------------------------
-# valuation of the pair binomial from U mod n**K
+# valuations of U(a, b), U(a+b, c) and U(a, b, c) from U mod n**K
 
 U2_EXPONENTS = (3, 5, 7, 11, 13, 101)
 
 
+def built_valuations(a, b, c, n):
+    """(exponent, cofactor mod n) of U(a, b), U(a+b, c) and U(a, b, c), each
+    built in full and divided by n."""
+    t = TrinomialTriple(a, b, c, n)
+    out = []
+    for u in (truncated2_direct(t.pair_ab()), truncated2_direct(t.pair_qc()), truncated3(t)):
+        v = padic_valuation(u, n)
+        out.append((v.exponent, 0 if v.is_infinite else v.cofactor % n))
+    return out
+
+
+def residue_valuations(a, b, c, n):
+    valuations = u3_valuations(TrinomialTriple(a, b, c, n))
+    assert all(v.base == n for v in valuations)
+    return [(v.exponent, v.unit) for v in valuations]
+
+
 def u2_valuation_cases(n):
-    """Pairs that stress u2_valuation: zeros, signs, n | a, deep n | a+b."""
+    """Pairs that stress the valuation of U(a, b): zeros, signs, n | a, deep n | a+b."""
     rng = random.Random(f"u2-valuation:{n}")
     cases = [(0, 0), (0, 7), (-5, 0), (12, -12), (-(n**40), 0), (10**20 + 1, -(10**20) - 1)]
     cases += [(-3, 3), (-2, -9), (4, -13)]
@@ -123,17 +140,58 @@ def u2_valuation_cases(n):
 @pytest.mark.parametrize("n", U2_EXPONENTS)
 def test_u2_valuation_matches_dividing_the_built_u(n):
     for a, b in u2_valuation_cases(n):
-        p = BinomialPair(a, b, n)
-        expected = padic_valuation(truncated2_direct(p), n).exponent
-        assert u2_valuation(p) == expected, (a, b)
-        assert (expected == INFINITE) == (a * b * (a + b) == 0), (a, b)
+        expected = built_valuations(a, b, 1, n)[0]
+        assert residue_valuations(a, b, 1, n)[0] == expected, (a, b)
+        assert (expected[0] == INFINITE) == (a * b * (a + b) == 0), (a, b)
 
 
 def test_u2_valuation_closed_forms_at_depth():
     # n | a+b with n prime to a gives 1 + v_n(a+b), here well past the
     # first few doublings of K.
     for n, j in [(3, 9), (7, 21), (101, 303), (1009, 1008)]:
-        assert u2_valuation(BinomialPair(5, n**j * 2 - 5, n)) == 1 + j
+        assert u3_valuations(TrinomialTriple(5, n**j * 2 - 5, 1, n))[0].exponent == 1 + j
+
+
+def u3_valuation_cases(n):
+    """Triples on the pairs above: c = 0, cancelling c, n**j | c, 2n | a+b+c."""
+    rng = random.Random(f"u3-valuation:{n}")
+    cases = []
+    for a, b in u2_valuation_cases(n)[:26]:
+        c = rng.randint(-10**6, 10**6)
+        cases += [(a, b, 0), (a, b, -a), (a, b, -a - b), (a, b, c),
+                  (a, b, n**rng.randint(1, 4) * c), (a, b, 2 * n * c - a - b)]
+    return cases
+
+
+@pytest.mark.parametrize("n", U2_EXPONENTS)
+def test_u3_valuations_match_dividing_the_built_u(n):
+    for a, b, c in u3_valuation_cases(n):
+        assert residue_valuations(a, b, c, n) == built_valuations(a, b, c, n), (a, b, c)
+
+
+def test_u3_valuations_on_case_b_triples_at_depth():
+    # c = 101^2 c0 and a + b = 101^201 q0, as the Case-B exponent algebra
+    # wants: valuations of about 200 and 400, and n^202 divided out of U(q, c).
+    rng = random.Random("u3-case-b")
+    n = 101
+    for _ in range(3):
+        a, q0, c0 = (rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(3))
+        c = n**2 * c0
+        for b in (n**201 * q0 - a, n**201 * q0 * n - a):
+            got = residue_valuations(a, b, c, n)
+            assert got == built_valuations(a, b, c, n), (a, b, c)
+            assert got[1][0] >= 2 * n
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_u3_valuations_on_every_tiny_triple(n):
+    # Every triple of tiny operands, zeros and cancellations included, where K_max
+    # is smallest (3B + 2 at n = 3, B the operands' bit length).
+    span = range(-4, 5)
+    for a in span:
+        for b in span:
+            for c in span:
+                assert residue_valuations(a, b, c, n) == built_valuations(a, b, c, n), (a, b, c)
 
 
 # ---------------------------------------------------------------------------
