@@ -6,8 +6,10 @@ scan (u2|quadratic), verify.  Every run emits one report envelope
 also emit their witnesses as CSV.  Every report goes to stdout through
 one writer as it is rendered: JSON from residue_scan._dump, and the pairs
 of JSON, CSV and text from one row renderer, residue_scan._write_rows, a
-write per row, so no report is held whole.  tests/test_cli_golden.py and
-perfbench/goldens.json pin their bytes.
+write per row, so no report is held whole.  It renders each column tile
+that several scan rows share once and writes each of those rows as one
+join of its pieces.  tests/test_cli_golden.py and perfbench/goldens.json
+pin their bytes.
 
 Exit codes are part of the contract:
     0  success (an Incompatible verdict is a result, not an error)
@@ -303,8 +305,8 @@ def cmd_scan_u2(args):
     )
     budget = _resolve_budget(args.budget)
     report = scan_divisibility(args.n, args.k, constraints, cell_budget=budget)
-    found = sum([len(cols) for _, cols in report.rows])
-    return inputs, _scan_payload(args, report, report.power_k, report.rows, report.modulus), found
+    payload = _scan_payload(args, report, report.power_k, report.rows, report.modulus)
+    return inputs, payload, report.witness_count
 
 
 def cmd_scan_quadratic(args):

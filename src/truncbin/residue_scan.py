@@ -18,9 +18,11 @@ rows a = a0 (mod P).  cells_scanned counts grid cells.
 A report stores the rows the scan computes, (a, cols) for each row with
 a witness, not one pair per witness; the flat witnesses are derived from
 them.  JSON (_dump), CSV and the text form write each row with one join
-of precomputed column strings (_write_rows) and hand it to a write
-function at once, so writing a report builds no per-pair object and never
-holds the whole text.
+(_write_rows) and hand it to a write function at once, so writing a report
+never holds the whole text.  A row joins column strings made once for the
+report or, from the second row that shares its cols tuple on, the pieces
+of that tile, rendered once for the report: at n = 97 a tile serves 97
+rows.
 """
 from __future__ import annotations
 
@@ -86,6 +88,11 @@ class ScanReport:
     def witnesses(self) -> tuple[tuple[int, int], ...]:
         return tuple([(a, b) for a, cols in self.rows for b in cols])
 
+    @property
+    def witness_count(self) -> int:
+        """len(witnesses), without building them."""
+        return sum([len(cols) for _, cols in self.rows])
+
     def _payload(self, pairs) -> dict:
         """to_jsonable() with its list of pairs given as pairs(rows, size)."""
         return {
@@ -93,7 +100,7 @@ class ScanReport:
             "power_k": self.power_k,
             "modulus": self.modulus,
             "constraints": self.constraints.to_jsonable(),
-            "witness_count": sum([len(cols) for _, cols in self.rows]),
+            "witness_count": self.witness_count,
             "witnesses": pairs(self.rows, self.modulus),
             "cells_scanned": self.cells_scanned,
         }
@@ -154,13 +161,32 @@ def _write_rows(rows, head, between, tail, size, write):
     """Write the pairs (a, b) of rows (a, cols), joined by between.
 
     A pair is head % a, then b, then tail.  Within a row only b changes, so
-    a row is one join of its column strings, made once for range(size), and
-    one write, with between before every row but the first.
+    a row is one join and one write, with between before every row but the
+    first.  A row joins its column strings, made once for range(size).  A
+    scan's rows a = a0 (mod P) share one cols tuple, so a cols object of two
+    or more columns that comes up again has its tile rendered once, as the
+    pieces between, str(b) + tail + between for every b but the last, and
+    str(b_last) + tail; that row and every later one of the tile is
+    (head % a).join(pieces).  Tiles are keyed on id(cols), which rows keeps
+    alive for the call.  A cols seen once, or of one column, is written from
+    the column strings alone: rendering its pieces would cost more than it
+    saves.
     """
     text = list(map(str, range(size))).__getitem__ if rows else None
+    tiles = {}
     lead = ""
     for a, cols in rows:
         first = head % a
+        if len(cols) > 1:
+            tile = tiles.get(id(cols))
+            if tile is None:
+                tiles[id(cols)] = False  # seen once, written from the column strings
+            else:
+                if not tile:
+                    tile = tiles[id(cols)] = [
+                        between, *[text(b) + tail + between for b in cols[:-1]], text(cols[-1]) + tail]
+                write(first.join(tile))  # never the first row, so between leads
+                continue
         write(lead + first + (tail + between + first).join(map(text, cols)) + tail)
         lead = between
 

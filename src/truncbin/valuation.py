@@ -61,8 +61,8 @@ n-th powers below 2^(nB), so
 
 and a zero residue at K_max means U = 0, whose valuation is INFINITE.
 Each modular power works on numbers of K log2(n) bits, while U itself
-has about n B bits and padic_valuation divides it once per unit of
-valuation.
+has about n B bits, which padic_valuation would divide by n, n^2, n^4,
+... in turn.
 """
 from __future__ import annotations
 
@@ -118,12 +118,22 @@ def padic_valuation(x: int, p: int) -> Valuation:
 
 
 def _strip(x: int, p: int) -> tuple[int, int]:
-    """(k, x / p**k) for the largest k with p**k dividing the nonzero x."""
-    k = 0
-    while x % p == 0:
-        x //= p
-        k += 1
-    return k, x
+    """(k, x / p**k) for the largest k with p**k dividing the nonzero x.
+
+    Past k = 1, x / p**2 is stripped of p**2 (so of p**4, p**8, ... in
+    turn), which leaves at most one more p: O(log k) divisions, not the
+    k of dividing by p one at a time.  k = 0 and k = 1, the common cases
+    of a verdict, cost what that loop costs.
+    """
+    if x % p:
+        return 0, x
+    x //= p
+    if x % p:
+        return 1, x
+    k, x = _strip(x // p, p * p)
+    if x % p:
+        return 2 * k + 2, x
+    return 2 * k + 3, x // p
 
 
 class UnitValuation(NamedTuple):

@@ -8,9 +8,10 @@ diff before committing it:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
-test_scan_output_matches_stdlib_encoders checks the CLI's JSON and CSV
-writers against json.dumps(envelope, indent=2) and csv.writer on reports
-built by the library.
+test_scan_output_matches_stdlib_encoders checks the CLI's JSON, CSV and
+text writers against json.dumps(envelope, indent=2), csv.writer and the
+text layout on reports built by the library or by hand, among them rows
+that share one cols tuple, as a scan's rows do.
 
 argparse wraps its usage lines to the terminal width, so every run sets
 COLUMNS; it also unsets the scan budget variable.  The file is recorded
@@ -242,6 +243,10 @@ def _text(name, payload):
     return "\n".join(lines + ["# elapsed: <t> ms", ""])
 
 
+_TILE = (2, 9, 40)
+_ONE = (6,)
+
+
 @pytest.mark.parametrize("argv, inputs, report, rows, patched", [
     _u2_case(11, 2, ScanConstraints()),
     _u2_case(3, 4, ScanConstraints(forbid_sum_zero_mod_n=True), "--forbid-sum"),
@@ -254,6 +259,14 @@ def _text(name, payload):
     _u2_case(7, 2, ScanConstraints(), rows=((0, (0, 5, 48)),)),
     _u2_case(7, 2, ScanConstraints(), rows=((0, (0,)),)),
     _u2_case(7, 2, ScanConstraints(), rows=((48, (7, 48)),)),
+    # Rows that share a cols object are written from one rendered tile: a
+    # tuple in non-adjacent rows with different a, equal tuples that are
+    # distinct objects, and a shared one-column tuple.
+    _u2_case(7, 2, ScanConstraints(), rows=((1, _TILE), (5, (3,)), (30, _TILE), (48, _TILE))),
+    _u2_case(7, 2, ScanConstraints(), rows=tuple((a, tuple([0, 7, 14])) for a in (2, 9, 10))),
+    _u2_case(7, 2, ScanConstraints(), rows=((0, _ONE), (3, _ONE), (4, (1, 2)), (20, _ONE))),
+    # The scan's own rows: rows a = a0 (mod 13) share one tuple, 13 rows a tile.
+    _u2_case(13, 2, ScanConstraints.case_a(), "--case-a"),
     _quadratic_case(13),
     # One root of 1 + t + t^2, and none: both zero lists empty.
     _quadratic_case(3),

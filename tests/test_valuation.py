@@ -74,6 +74,21 @@ def test_padic_matches_oracle_and_reconstructs():
             assert v.value == x
 
 
+@pytest.mark.parametrize("p", [3, 7, 101, 1009])
+def test_padic_valuation_at_every_depth_to_2100(p):
+    # x = u * p**v with p not dividing u, so the answer is (v, u).  The
+    # repeated-division oracle takes v divisions of x, so it confirms the
+    # answer at every 100th v only.
+    for u in (1, -(p**30 + 1)):
+        x = u
+        for v in range(2101):
+            got = padic_valuation(x, p)
+            assert (got.exponent, got.cofactor) == (v, u)
+            if v % 100 == 0:
+                assert valuation_oracle(x, p) == v
+            x *= p
+
+
 def test_padic_rejects_bad_base():
     for bad in (2, 4, 9, 1, -3):
         with pytest.raises(DomainError):
