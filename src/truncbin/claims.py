@@ -251,7 +251,7 @@ def _claim_scan_eleven(rng, scale, seed):
     start = time.perf_counter()
     constrained = scan_divisibility(11, 2, ScanConstraints.case_a())
     constrained_seconds = time.perf_counter() - start
-    constrained_empty = constrained.witnesses == ()
+    constrained_empty = constrained.witness_count == 0
     under_time_bound = constrained_seconds < 1.0
 
     unconstrained = scan_divisibility(11, 2, ScanConstraints())
@@ -275,12 +275,12 @@ def _claim_scan_eleven(rng, scale, seed):
 
     passed = constrained_empty and under_time_bound and sets_match and audit_ok
     return passed, {
-        "constrained_witnesses": len(constrained.witnesses),
+        "constrained_witnesses": constrained.witness_count,
         "constrained_cells": constrained.cells_scanned,
         "constrained_empty": constrained_empty,
         "constrained_seconds": round(constrained_seconds, 6),
         "constrained_under_1s": under_time_bound,
-        "unconstrained_witnesses": len(unconstrained.witnesses),
+        "unconstrained_witnesses": unconstrained.witness_count,
         "witness_set_equals_violating_pairs": sets_match,
         "audited_cells": 200,
         "audit_ok": audit_ok,

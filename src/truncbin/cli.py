@@ -22,7 +22,10 @@ Exit codes are part of the contract:
 
 Arbitrary-size integers cross the boundary as decimal strings so that
 downstream JSON tooling cannot round them.  n-adic exponents and units
-mod n are JSON numbers, an infinite exponent the string "infinite".
+mod n are JSON numbers, an infinite exponent the string "infinite".  That
+rule lives in one place: commands return library values, and _emit passes
+them through _plain, which prints the ints under the keys of _DECIMAL in
+decimal.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import is_dataclass
 
 from .binomial_core import (
     SERIES_FORMS,
@@ -84,27 +87,36 @@ FORMATS = ["text", "json"]
 _FOUND = {"scan u2": "witnesses", "scan quadratic": "zero pairs"}
 
 
-def _exponent(exponent):
-    """An n-adic exponent: an int, or "infinite" for the valuation of zero."""
-    return "infinite" if exponent == INFINITE else exponent
+# Report keys whose ints, and the ints nested under them, are of unbounded
+# size and print as decimal strings.
+_DECIMAL = frozenset(
+    "a b c c0 q0 beta beta0 residual gcd_removed normalized u u_ab u_qc forms".split())
 
 
-def _jsonable(key, value):
-    """An evidence member: tiers by name, a valuation as base, exponent and unit,
-    members named *_valuation as exponents, and other ints as decimal strings."""
-    if isinstance(value, VerdictKind):
+def _plain(value, decimal=False):
+    """value with library types made printable: dataclasses and valuations as
+    dicts, tiers by name, an infinite exponent as "infinite" and, under a key
+    of _DECIMAL, ints as decimal strings.  Other values pass through as they
+    are: an int past the interpreter's int-to-str limit raises here, before
+    anything is written."""
+    kind = type(value)
+    if kind is int:
+        return str(value) if decimal else value
+    if kind is dict:
+        return {key: _plain(item, decimal or key in _DECIMAL) for key, item in value.items()}
+    if kind is list:
+        return [_plain(item, decimal) for item in value]
+    if kind is float and value == INFINITE:
+        return "infinite"
+    if kind is VerdictKind:
         return value.value
-    if isinstance(value, UnitValuation):
-        return {"base": value.base, "exponent": _exponent(value.exponent), "unit": value.unit}
-    return _exponent(value) if key.endswith("_valuation") else str(value)
-
-
-def _verdict_payload(verdict):
-    return {
-        "kind": verdict.kind.value,
-        "reason": verdict.reason,
-        "evidence": {k: _jsonable(k, v) for k, v in verdict.evidence.items()},
-    }
+    if kind is UnitValuation:
+        return _plain(value._asdict(), decimal)
+    if is_dataclass(value):
+        # Its fields in order, without the deep copy of asdict, which costs
+        # more than the verdict it prints; nested dataclasses recur here.
+        return _plain(vars(value), decimal)
+    return value
 
 
 def _write_text_block(write, payload, indent=""):
@@ -152,6 +164,7 @@ def _stdout_writer():
 
 def _emit(args, inputs, payload, seconds):
     timing_ms = round(seconds * 1000.0, 3)
+    inputs, payload = _plain(inputs), _plain(payload)
     write = _stdout_writer()
     if args.format == "json":
         envelope = {
@@ -173,12 +186,8 @@ def _emit(args, inputs, payload, seconds):
 
 
 def _echo(args):
-    """The operands as given; a, b and c, of unbounded size, as decimal strings."""
-    return {
-        name: str(value) if name in ("a", "b", "c") else value
-        for name in args.operands
-        if (value := getattr(args, name)) is not None
-    }
+    """The operands as given."""
+    return {name: value for name in args.operands if (value := getattr(args, name)) is not None}
 
 
 def _normalized_triple(args):
@@ -196,33 +205,28 @@ def cmd_compute(args):
         raise DomainError("--all-forms applies to a pair only; drop --c or --all-forms")
     if args.c is not None:
         u_ab, u_qc = truncated3_terms(TrinomialTriple(args.a, args.b, args.c, args.n))
-        payload = {"u": str(u_ab + u_qc), "u_ab": str(u_ab), "u_qc": str(u_qc)}
+        payload = {"u": u_ab + u_qc, "u_ab": u_ab, "u_qc": u_qc}
     else:
         p = BinomialPair(args.a, args.b, args.n)
         u = truncated2_direct(p)
-        payload = {"u": str(u)}
+        payload = {"u": u}
         if args.all_forms:
-            payload["forms"] = {"direct": str(u)}
-            for form in SERIES_FORMS:
-                payload["forms"][form] = str(truncated2_series(p, form))
+            forms = {form: truncated2_series(p, form) for form in SERIES_FORMS}
+            payload["forms"] = {"direct": u, **forms}
     return _echo(args), payload, None
 
 
 def cmd_verdict_eq2(args):
     pair = BinomialPair(args.a, args.b, args.n)
-    payload = _verdict_payload(binomial_equation_verdict(pair))
+    payload = dict(vars(binomial_equation_verdict(pair)))
     if (args.a, args.b) != (0, 0):
-        report = necessary_conditions_2(pair)
-        beta = None if report.beta is None else str(report.beta)
-        payload["conditions"] = dict(asdict(report), beta=beta)
+        payload["conditions"] = necessary_conditions_2(pair)
     return _echo(args), payload, None
 
 
 def cmd_verdict_eq3(args):
     t, g = _normalized_triple(args)
-    payload = _verdict_payload(case_A_verdict(t))
-    payload["normalized"] = [str(t.a), str(t.b), str(t.c)]
-    payload["gcd_removed"] = str(g)
+    payload = {**vars(case_A_verdict(t)), "normalized": [t.a, t.b, t.c], "gcd_removed": g}
     return _echo(args), payload, None
 
 
@@ -232,33 +236,16 @@ def cmd_verdict_exponents(args):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and profile.rho_q >= 10**limit:  # rho_q is the largest exponent
         raise DomainError(f"rho_q = n*rho_c - 1 has more than {limit} digits, too many to print")
-    return _echo(args), asdict(profile), None
+    return _echo(args), profile, None
 
 
 def cmd_verdict_case_b_check(args):
     t, g = _normalized_triple(args)
-    report = case_B_consistency_check(t)
-    payload = {
-        "relabeled": {"a": str(report.a), "b": str(report.b), "c": str(report.c)},
-        "gcd_removed": str(g),
-        "observed": {
-            "rho_c": _exponent(report.rho_c),
-            "c0": str(report.c0),
-            "rho_q": _exponent(report.rho_q),
-            "q0": str(report.q0),
-            "rho_beta": _exponent(report.rho_beta),
-            "beta0": str(report.beta0),
-        },
-        "expected": asdict(report.expected),
-        "rho_q_matches": report.rho_q_matches,
-        "rho_beta_matches": report.rho_beta_matches,
-        "u_ab_valuation": _exponent(report.u_ab_valuation),
-        "u_ab_expected": _exponent(report.u_ab_expected),
-        "u_ab_matches": report.u_ab_matches,
-        "u_qc_valuation": _exponent(report.u_qc_valuation),
-        "u_qc_expected": _exponent(report.u_qc_expected),
-        "u_qc_matches": report.u_qc_matches,
-    }
+    report = dict(vars(case_B_consistency_check(t)))
+    del report["n"]
+    relabeled = {key: report.pop(key) for key in ("a", "b", "c")}
+    observed = {key: report.pop(key) for key in ("rho_c", "c0", "rho_q", "q0", "rho_beta", "beta0")}
+    payload = {"relabeled": relabeled, "gcd_removed": g, "observed": observed, **report}
     return _echo(args), payload, None
 
 
@@ -299,7 +286,7 @@ def cmd_scan_u2(args):
         )
     inputs = dict(
         _echo(args),
-        constraints=constraints.to_jsonable(),
+        constraints=constraints,
         workers=args.workers,
         expect_empty=args.expect_empty,
     )
@@ -324,7 +311,7 @@ def cmd_verify(args):
     payload = {
         "all_passed": all(r.passed for r in results),
         "results": [
-            dict(asdict(r), duration_ms=round(r.duration_ms, 3)) for r in results
+            dict(vars(r), duration_ms=round(r.duration_ms, 3)) for r in results
         ],
     }
     return inputs, payload, None

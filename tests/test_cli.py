@@ -501,7 +501,7 @@ def test_scan_reports_go_out_in_bounded_writes(monkeypatch, fmt):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
 def test_a_value_past_the_digit_limit_fails_before_the_first_byte(capsys):
     # U(2, 3) at n = 7001 has 4894 digits, past CPython's int-to-str limit of
-    # 4300.  Its str() runs in cmd_compute, before anything is written.
+    # 4300.  Its str() runs in cli._plain, before anything is written.
     with pytest.raises(ValueError):
         main(["compute", "--a", "2", "--b", "3", "--n", "7001", "--format", "json"])
     assert capsys.readouterr().out == ""

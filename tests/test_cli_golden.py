@@ -203,6 +203,20 @@ def test_golden_covers_every_exit_code_but_verify_failure(recorded):
     assert {case["exit"] for case in recorded.values()} == {0, 2, 3, 4, 5}
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_reports_are_strict_json(recorded):
+    # An infinite exponent prints as "infinite", never as Infinity or NaN.
+    reports = [case["stdout"] for case in recorded.values()
+               if case["exit"] == 0 and case["argv"][-2:] == ["--format", "json"]]
+    assert len(reports) > 30
+    for stdout in reports:
+        json.loads(stdout, parse_constant=_reject_constant)
+    assert any('"infinite"' in stdout for stdout in reports)
+
+
 # The stdlib encoders as oracles for the CLI's own JSON and CSV writers.
 
 def _u2_case(n, k, constraints, *flags, budget=None, rows=None):

@@ -123,6 +123,29 @@ def test_scan_n11_unconstrained_witnesses_are_exactly_the_lifts():
     assert report.cells_scanned == 121 * 121
 
 
+def _case_a_roots(n):
+    """R(n): the t in 1 .. n-2 with (1 + t)^n = 1 + t^n (mod n^2), Mirimanoff's
+    congruence.  t and 1 + t are prime to n, as Case A asks of b/a and (a+b)/a."""
+    m = n * n
+    return [t for t in range(1, n - 1) if pow(1 + t, n, m) == (1 + pow(t, n, m)) % m]
+
+
+def test_case_a_census_matches_the_root_count_at_every_prime_below_100():
+    # U(a, b) = a^n f(b/a) with f(t) = (1+t)^n - 1 - t^n, and n^2 | f(t) depends on
+    # t mod n only.  So each of the n(n-1) residues a prime to n pairs with the
+    # n lifts of a*t mod n^2 for each root t: n^2 (n-1) |R(n)| witnesses.
+    primes = [n for n in range(5, 100) if all(n % d for d in range(2, n))]
+    roots = {n: _case_a_roots(n) for n in primes}
+    for n in primes:
+        report = scan_divisibility(n, 2, ScanConstraints.case_a())
+        assert report.witness_count == n * n * (n - 1) * len(roots[n]), n
+    # For n = 1 (mod 3) the primitive cube roots of unity are roots; n = 2 (mod 3)
+    # has none of them, and still 59 and 83 have roots below 100.
+    assert [n for n in primes if n % 3 == 2 and roots[n]] == [59, 83]
+    assert len(roots[59]) == 12
+    assert scan_divisibility(59, 2, ScanConstraints.case_a()).witness_count == 2_422_776
+
+
 def test_scan_cells_scanned_counts_allowed_pairs():
     for constraints in (
         ScanConstraints(),
