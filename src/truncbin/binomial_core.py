@@ -13,7 +13,7 @@ coefficients proportional to the exponent, evenness of U) needs that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError, PreconditionError
@@ -84,36 +84,31 @@ def _validate_int(name: str, value) -> None:
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class BinomialPair:
+class BinomialPair(namedtuple("BinomialPair", "a b n")):
     """Two integers together with a prime exponent n >= 3."""
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:
-            _validate_int("a", self.a)
-            _validate_int("b", self.b)
-        _validate_exponent(self.n)
+    def __new__(cls, a: int, b: int, n: int):
+        if type(a) is not int or type(b) is not int:
+            _validate_int("a", a)
+            _validate_int("b", b)
+        _validate_exponent(n)
+        return tuple.__new__(cls, (a, b, n))
 
 
-@dataclass(frozen=True)
-class TrinomialTriple:
+class TrinomialTriple(namedtuple("TrinomialTriple", "a b c n")):
     """Three integers together with a prime exponent n >= 3."""
 
-    a: int
-    b: int
-    c: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int or type(self.c) is not int:
-            _validate_int("a", self.a)
-            _validate_int("b", self.b)
-            _validate_int("c", self.c)
-        _validate_exponent(self.n)
+    def __new__(cls, a: int, b: int, c: int, n: int):
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            _validate_int("a", a)
+            _validate_int("b", b)
+            _validate_int("c", c)
+        _validate_exponent(n)
+        return tuple.__new__(cls, (a, b, c, n))
 
     @property
     def s(self) -> int:

@@ -21,7 +21,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .binomial_core import (
     BinomialPair,
@@ -52,8 +53,7 @@ IDENTITY_EXPONENTS = (3, 5, 7, 11, 13)
 PAIR_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     """Sample sizes for a verify run."""
 
     name: str
@@ -67,13 +67,22 @@ QUICK = Scale(name="quick", pairs=300, triples=100, det_workers=(1, 2))
 FULL = Scale(name="full", pairs=10_000, triples=1_000, det_workers=(1, 8))
 
 
-@dataclass
-class ClaimResult:
-    code: str
-    title: str
-    passed: bool
-    duration_ms: float
-    details: dict = field(default_factory=dict)
+class ClaimResult(namedtuple("ClaimResult", "code title passed duration_ms details")):
+    """One claim's outcome; details is a dict, a new empty one when none is given."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        code: str,
+        title: str,
+        passed: bool,
+        duration_ms: float,
+        details: dict | None = None,
+    ):
+        if details is None:
+            details = {}
+        return tuple.__new__(cls, (code, title, passed, duration_ms, details))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import is_dataclass
 
 from .binomial_core import (
     SERIES_FORMS,
@@ -63,7 +62,7 @@ from .residue_scan import (
     scan_divisibility,
     scan_quadratic,
 )
-from .valuation import INFINITE, UnitValuation
+from .valuation import INFINITE
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,11 +93,12 @@ _DECIMAL = frozenset(
 
 
 def _plain(value, decimal=False):
-    """value with library types made printable: dataclasses and valuations as
-    dicts, tiers by name, an infinite exponent as "infinite" and, under a key
-    of _DECIMAL, ints as decimal strings.  Other values pass through as they
-    are: an int past the interpreter's int-to-str limit raises here, before
-    anything is written."""
+    """value with library types made printable: records (the package's tuple
+    types) as dicts of their fields, tiers by name, an infinite exponent as
+    "infinite" and, under a key of _DECIMAL, ints as decimal strings.  A
+    scan's _PairRows reaches the row writer as it is.  Other values pass
+    through as they are: an int past the interpreter's int-to-str limit
+    raises here, before anything is written."""
     kind = type(value)
     if kind is int:
         return str(value) if decimal else value
@@ -110,12 +110,10 @@ def _plain(value, decimal=False):
         return "infinite"
     if kind is VerdictKind:
         return value.value
-    if kind is UnitValuation:
+    if kind is _PairRows:
+        return value
+    if hasattr(kind, "_asdict"):  # a record; nested records recur here
         return _plain(value._asdict(), decimal)
-    if is_dataclass(value):
-        # Its fields in order, without the deep copy of asdict, which costs
-        # more than the verdict it prints; nested dataclasses recur here.
-        return _plain(vars(value), decimal)
     return value
 
 
@@ -218,7 +216,7 @@ def cmd_compute(args):
 
 def cmd_verdict_eq2(args):
     pair = BinomialPair(args.a, args.b, args.n)
-    payload = dict(vars(binomial_equation_verdict(pair)))
+    payload = binomial_equation_verdict(pair)._asdict()
     if (args.a, args.b) != (0, 0):
         payload["conditions"] = necessary_conditions_2(pair)
     return _echo(args), payload, None
@@ -226,7 +224,7 @@ def cmd_verdict_eq2(args):
 
 def cmd_verdict_eq3(args):
     t, g = _normalized_triple(args)
-    payload = {**vars(case_A_verdict(t)), "normalized": [t.a, t.b, t.c], "gcd_removed": g}
+    payload = {**case_A_verdict(t)._asdict(), "normalized": [t.a, t.b, t.c], "gcd_removed": g}
     return _echo(args), payload, None
 
 
@@ -241,7 +239,7 @@ def cmd_verdict_exponents(args):
 
 def cmd_verdict_case_b_check(args):
     t, g = _normalized_triple(args)
-    report = dict(vars(case_B_consistency_check(t)))
+    report = case_B_consistency_check(t)._asdict()
     del report["n"]
     relabeled = {key: report.pop(key) for key in ("a", "b", "c")}
     observed = {key: report.pop(key) for key in ("rho_c", "c0", "rho_q", "q0", "rho_beta", "beta0")}
@@ -297,7 +295,7 @@ def cmd_scan_u2(args):
 
 
 def cmd_scan_quadratic(args):
-    report = scan_quadratic(args.n, cell_budget=_resolve_budget(None))
+    report = scan_quadratic(args.n, cell_budget=_resolve_budget(args.budget))
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
     pairs = report.zero_pairs
     rows = [(a, (b,)) for a, b in pairs]
@@ -311,7 +309,7 @@ def cmd_verify(args):
     payload = {
         "all_passed": all(r.passed for r in results),
         "results": [
-            dict(vars(r), duration_ms=round(r.duration_ms, 3)) for r in results
+            dict(r._asdict(), duration_ms=round(r.duration_ms, 3)) for r in results
         ],
     }
     return inputs, payload, None
@@ -322,6 +320,10 @@ def cmd_verify(args):
 
 def _flag(help):
     return {"action": "store_true", "help": help}
+
+
+# The --budget option of both scans.
+_BUDGET = {"type": int, "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})"}
 
 
 def _command(parser, func, operands="", formats=FORMATS, **options):
@@ -379,10 +381,7 @@ def build_parser():
         forbid_b=_flag("exclude b = 0 (mod n)"),
         forbid_sum=_flag("exclude a+b = 0 (mod n)"),
         workers={"type": int, "default": 1, "help": "echoed only; scans run in one process"},
-        budget={
-            "type": int,
-            "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})",
-        },
+        budget=_BUDGET,
         expect_empty=_flag("exit 4 if any witness is found"),
     )
     _command(
@@ -390,6 +389,7 @@ def build_parser():
         cmd_scan_quadratic,
         "n",
         FORMATS + ["csv"],
+        budget=_BUDGET,
         expect_empty=_flag("exit 4 if any zero pair is found"),
     )
 

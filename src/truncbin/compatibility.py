@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple
 
 from .binomial_core import (
     BinomialPair,
@@ -53,21 +53,24 @@ class VerdictKind(enum.Enum):
 _TIER_KIND = {True: VerdictKind.INCOMPATIBLE, False: VerdictKind.UNDETERMINED}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a compatibility check plus the values that drove it."""
+class Verdict(namedtuple("Verdict", "kind reason evidence")):
+    """Outcome of a compatibility check plus the values that drove it.
 
-    kind: VerdictKind
-    reason: str
-    evidence: dict = field(default_factory=dict)
+    evidence is a dict, a new empty one when none is given.
+    """
 
-    def __post_init__(self):
-        if self.kind is VerdictKind.INCOMPATIBLE and not self.evidence:
+    __slots__ = ()
+
+    def __new__(cls, kind: VerdictKind, reason: str, evidence: dict | None = None):
+        if evidence is None:
+            evidence = {}
+        if kind is VerdictKind.INCOMPATIBLE and not evidence:
             raise ValueError("an Incompatible verdict must carry evidence")
+        return tuple.__new__(cls, (kind, reason, evidence))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple(
+        "ConditionReport", "coprime_after_normalization parity_class q_div_2n beta")):
     """Necessary conditions for the two-integer equation.
 
     Parity and divisibility are evaluated on the gcd-normalized pair;
@@ -75,18 +78,21 @@ class ConditionReport:
     gcd 1.  beta is present exactly when 2n divides the normalized sum.
     """
 
-    coprime_after_normalization: bool
-    parity_class: str
-    q_div_2n: bool
-    beta: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q_div_2n != (self.beta is not None):
+    def __new__(
+        cls,
+        coprime_after_normalization: bool,
+        parity_class: str,
+        q_div_2n: bool,
+        beta: int | None = None,
+    ):
+        if q_div_2n != (beta is not None):
             raise ValueError("beta must be present exactly when q_div_2n holds")
+        return tuple.__new__(cls, (coprime_after_normalization, parity_class, q_div_2n, beta))
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
+class ExponentProfile(NamedTuple):
     """The exponent triple (rho_c, rho_beta, rho_q) of Case B."""
 
     rho_c: int
@@ -94,15 +100,13 @@ class ExponentProfile:
     rho_q: int
 
 
-@dataclass(frozen=True)
-class CaseClassification:
+class CaseClassification(NamedTuple):
     kind: str  # "A" or "B"
-    variable: Optional[str] = None  # which of a, b, c the exponent divides
-    rho: Optional[int] = None  # its exact valuation
+    variable: str | None = None  # which of a, b, c the exponent divides
+    rho: int | None = None  # its exact valuation
 
 
-@dataclass(frozen=True)
-class CaseBReport:
+class CaseBReport(NamedTuple):
     """Observed Case-B decomposition versus the predicted exponent algebra.
 
     The triple is relabeled so the divisible variable sits in position c

@@ -30,7 +30,7 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .binomial_core import _u2_residue, _validate_exponent, _validate_int
 from .errors import DomainError, ScanBudgetError
@@ -40,13 +40,26 @@ from .errors import DomainError, ScanBudgetError
 DEFAULT_CELL_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class ScanConstraints:
-    """Residue-pair exclusions, each stated modulo n (not the full modulus)."""
+class ScanConstraints(namedtuple(
+        "ScanConstraints", "forbid_a_zero forbid_b_zero forbid_sum_zero_mod_n")):
+    """Residue-pair exclusions, each stated modulo n (not the full modulus).
 
-    forbid_a_zero: bool = False
-    forbid_b_zero: bool = False
-    forbid_sum_zero_mod_n: bool = False
+    A flag that is not a bool is refused.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        forbid_a_zero: bool = False,
+        forbid_b_zero: bool = False,
+        forbid_sum_zero_mod_n: bool = False,
+    ):
+        flags = (forbid_a_zero, forbid_b_zero, forbid_sum_zero_mod_n)
+        for name, flag in zip(cls._fields, flags):
+            if type(flag) is not bool:
+                raise DomainError(f"{name} must be a bool, got {type(flag).__name__}")
+        return tuple.__new__(cls, flags)
 
     @classmethod
     def case_a(cls) -> "ScanConstraints":
@@ -63,11 +76,10 @@ class ScanConstraints:
         return True
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Canonical result of a divisibility scan.
 
     rows holds, for each residue a in [0, n**k) with a witness, the pair
@@ -113,8 +125,7 @@ class ScanReport:
         return _dumps(self._payload(_PairRows))
 
 
-@dataclass(frozen=True)
-class QuadraticScanReport:
+class QuadraticScanReport(NamedTuple):
     """Zero set of (da^2 + da*db + db^2) mod n over da, db in [1, n-1].
 
     The zero pairs are partitioned by whether da + db = n, the boundary

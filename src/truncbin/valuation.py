@@ -67,7 +67,6 @@ has about n B bits, which padic_valuation would divide by n, n^2, n^4,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ from .binomial_core import (
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """value == cofactor * base**exponent with base not dividing cofactor.
 
     exponent is INFINITE exactly when the value was zero (cofactor 0).
@@ -141,8 +139,7 @@ class UnitValuation(NamedTuple):
 
     What u3_valuations gives in place of a Valuation: the unit is the
     cofactor reduced mod base, so it stays a few digits however large U
-    is.  exponent is INFINITE, and unit 0, exactly when U = 0.  A tuple,
-    not a dataclass, because every verdict builds three.
+    is.  exponent is INFINITE, and unit 0, exactly when U = 0.
     """
 
     base: int

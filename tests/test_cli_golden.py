@@ -146,6 +146,9 @@ CASES = [
     [*_QUAD, "--n", "7", "--expect-empty", "--format", "csv"],
     [*_QUAD, "--n", "10007"],
     [*_QUAD, "--n", "9973"],
+    # (7 - 1)^2 = 36 cells: one below the grid, then the grid itself.
+    [*_QUAD, "--n", "7", "--budget", "35"],
+    [*_QUAD, "--n", "7", "--budget", "36"],
     # verify
     ["verify"],
     ["verify", "--quick", "--format", "json"],

@@ -297,6 +297,19 @@ def test_scan_rejects_bad_arguments():
             scan_divisibility(5, 1, constraints)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("yes",), {}, "forbid_a_zero must be a bool, got str"),
+    ((1, 0, 0), {}, "forbid_a_zero must be a bool, got int"),
+    ((False, None), {}, "forbid_b_zero must be a bool, got NoneType"),
+    ((), {"forbid_sum_zero_mod_n": 1}, "forbid_sum_zero_mod_n must be a bool, got int"),
+])
+def test_constraints_refuse_flags_that_are_not_bools(args, kwargs, message):
+    # An int flag would print as 1, not true, in the report's constraints.
+    with pytest.raises(DomainError) as excinfo:
+        ScanConstraints(*args, **kwargs)
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # quadratic-form scans
 
