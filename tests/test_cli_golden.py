@@ -168,6 +168,23 @@ CASES = [
     ["verify", "--claim", "XX.1"],
     ["verify", "--quick", "--full"],
     ["verify", "--format", "csv"],
+    # Help at every level, and errors that print the names of sibling commands.
+    ["-h"],
+    ["verdict", "-h"],
+    ["scan", "-h"],
+    ["compute", "-h"],
+    ["verdict", "eq2", "-h"],
+    [*_EQ3, "-h"],
+    ["verdict", "exponents", "-h"],
+    [*_CASE_B, "-h"],
+    [*_U2, "-h"],
+    [*_QUAD, "-h"],
+    ["verify", "-h"],
+    ["scan", "eq3"],
+    ["verdict", "u2"],
+    ["--bogus", "compute", *_PAIR, "--n", "3"],
+    [*_EQ3, "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--bogus"],
+    ["compute", *_PAIR, "--n", "3", "verify"],
 ]
 
 
