@@ -84,7 +84,18 @@ def _validate_int(name: str, value) -> None:
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
 
 
-class BinomialPair(namedtuple("BinomialPair", "a b n")):
+class _Checked:
+    """Base of a tuple record whose __new__ checks its fields: _make, and
+    _replace through it, build the record by cls(...), so the check runs."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class BinomialPair(_Checked, namedtuple("BinomialPair", "a b n")):
     """Two integers together with a prime exponent n >= 3."""
 
     __slots__ = ()
@@ -97,7 +108,7 @@ class BinomialPair(namedtuple("BinomialPair", "a b n")):
         return tuple.__new__(cls, (a, b, n))
 
 
-class TrinomialTriple(namedtuple("TrinomialTriple", "a b c n")):
+class TrinomialTriple(_Checked, namedtuple("TrinomialTriple", "a b c n")):
     """Three integers together with a prime exponent n >= 3."""
 
     __slots__ = ()

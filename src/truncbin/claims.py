@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _Checked,
     _u2_residue,
     truncated2_direct,
     truncated2_series,
@@ -67,19 +68,13 @@ QUICK = Scale(name="quick", pairs=300, triples=100, det_workers=(1, 2))
 FULL = Scale(name="full", pairs=10_000, triples=1_000, det_workers=(1, 8))
 
 
-class ClaimResult(namedtuple("ClaimResult", "code title passed duration_ms details")):
+class ClaimResult(_Checked, namedtuple("ClaimResult", "code title passed duration_ms details")):
     """One claim's outcome; details is a dict, a new empty one when none is given."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        code: str,
-        title: str,
-        passed: bool,
-        duration_ms: float,
-        details: dict | None = None,
-    ):
+    def __new__(cls, code: str, title: str, passed: bool, duration_ms: float,
+                details: dict | None = None):
         if details is None:
             details = {}
         return tuple.__new__(cls, (code, title, passed, duration_ms, details))

@@ -1,7 +1,11 @@
 """Batch command-line frontend.
 
 Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
-scan (u2|quadratic), verify.  Every run emits one report envelope
+scan (u2|quadratic), verify, declared in one table, _COMMANDS.  main
+builds only the parsers its argv names: the four commands with their
+help, and a group's subcommands or a command's options only where argv
+holds that name, which covers every parser argparse can print from for
+that argv.  Every run emits one report envelope
 (command, echoed inputs, result, timing) as text or JSON; scans can
 also emit their witnesses as CSV.  Every report goes to stdout through
 one writer as it is rendered: JSON from residue_scan._dump, and the pairs
@@ -322,92 +326,97 @@ def _flag(help):
     return {"action": "store_true", "help": help}
 
 
-# The --budget option of both scans.
+# The --budget option of both scans, and the formats a scan prints.
 _BUDGET = {"type": int, "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})"}
+_SCAN_FORMATS = FORMATS + ["csv"]
 
 
-def _command(parser, func, operands="", formats=FORMATS, **options):
+def _command(parser, operands, formats=FORMATS, options=None):
     """Declare a subcommand: --x for each word x of operands, options, --format.
 
     Operands are ints, required unless the word ends in "?".  The inputs
     echo lists the required operands in declaration order, then the
-    optional ones that were given.
+    optional ones that were given.  An option keyed by a tuple of names is
+    a group of options that exclude each other.  The command runs the
+    cmd_ function named after it, as found when the parser is built.
     """
     operands = {word.rstrip("?"): not word.endswith("?") for word in operands.split()}
     for dest, required in operands.items():
         hint = "prime exponent >= 3" if dest == "n" else None
         parser.add_argument(f"--{dest}".replace("_", "-"), type=int, required=required, help=hint)
-    for dest, kwargs in options.items():
-        parser.add_argument(f"--{dest}".replace("_", "-"), **kwargs)
+    for dest, kwargs in (options or {}).items():
+        if type(dest) is tuple:
+            group = parser.add_mutually_exclusive_group()
+            for dest, kwargs in zip(dest, kwargs):
+                group.add_argument(f"--{dest}", **kwargs)
+        else:
+            parser.add_argument(f"--{dest}".replace("_", "-"), **kwargs)
     parser.add_argument("--format", choices=formats, default="text")
     name = parser.prog.split(" ", 1)[1]  # "verdict eq2" from "truncbin verdict eq2"
+    func = globals()["cmd_" + name.replace(" ", "_").replace("-", "_")]  # cmd_verdict_eq2
     echo = sorted(operands, key=lambda dest: not operands[dest])
     parser.set_defaults(func=func, name=name, operands=echo)
 
 
-def build_parser():
+# The commands in the order help lists them: (name, help, then either the
+# table of a group's subcommands or the arguments of _command after parser).
+_COMMANDS = (
+    ("compute", "evaluate U for a pair or triple", "a b c? n", FORMATS,
+     {"all_forms": _flag("also print the three series forms (pairs only)")}),
+    ("verdict", "compatibility decisions", (
+        ("eq2", "two-integer equation verdict", "a b n"),
+        ("eq3", "three-integer Case-A verdict", "a b c n"),
+        ("exponents", "Case-B exponent algebra", "rho_c n"),
+        ("case-b-check", "check a Case-B triple against the exponent algebra", "a b c n"),
+    )),
+    ("scan", "exhaustive residue scans", (
+        ("u2", "scan U(a, b) mod n^k over the full grid", "n k", _SCAN_FORMATS, {
+            "case_a": _flag("restrict to a, b, a+b all prime to n"),
+            "forbid_a": _flag("exclude a = 0 (mod n)"),
+            "forbid_b": _flag("exclude b = 0 (mod n)"),
+            "forbid_sum": _flag("exclude a+b = 0 (mod n)"),
+            "workers": {"type": int, "default": 1, "help": "echoed only; scans run in one process"},
+            "budget": _BUDGET,
+            "expect_empty": _flag("exit 4 if any witness is found"),
+        }),
+        ("quadratic", "zero set of (da^2 + da*db + db^2) mod n", "n", _SCAN_FORMATS,
+         {"budget": _BUDGET, "expect_empty": _flag("exit 4 if any zero pair is found")}),
+    )),
+    ("verify", "rerun the whole claim catalog", "", FORMATS, {
+        ("quick", "full"): (_flag("reduced samples (default)"), _flag("full-scale samples")),
+        "claim": {"action": "append", "metavar": "CODE", "help": "run only this claim (repeatable)"},
+        "seed": {"type": int, "default": DEFAULT_SEED},
+    }),
+)
+
+
+def _add_commands(subparsers, table, named):
+    """Add the commands of table to subparsers, each with its help; build a
+    group's subcommands and a command's options only if its name is in named."""
+    for name, help, *spec in table:
+        parser = subparsers.add_parser(name, help=help)
+        if name not in named:
+            continue
+        if type(spec[0]) is tuple:  # a group
+            _add_commands(parser.add_subparsers(dest="which", required=True), spec[0], named)
+        else:
+            _command(parser, *spec)
+
+
+def build_parser(argv=None):
+    """The parser for argv (None: sys.argv[1:]), built only as far as argv
+    reaches, as the module docstring says."""
     parser = argparse.ArgumentParser(
         prog="truncbin",
         description="Exact divisibility analysis of truncated Newton binomials.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _command(
-        sub.add_parser("compute", help="evaluate U for a pair or triple"),
-        cmd_compute,
-        "a b c? n",
-        all_forms=_flag("also print the three series forms (pairs only)"),
-    )
-
-    verdict = sub.add_parser("verdict", help="compatibility decisions")
-    verdict = verdict.add_subparsers(dest="which", required=True)
-    for name, func, summary, operands in (
-        ("eq2", cmd_verdict_eq2, "two-integer equation verdict", "a b n"),
-        ("eq3", cmd_verdict_eq3, "three-integer Case-A verdict", "a b c n"),
-        ("exponents", cmd_verdict_exponents, "Case-B exponent algebra", "rho_c n"),
-        ("case-b-check", cmd_verdict_case_b_check,
-         "check a Case-B triple against the exponent algebra", "a b c n"),
-    ):
-        _command(verdict.add_parser(name, help=summary), func, operands)
-
-    scan = sub.add_parser("scan", help="exhaustive residue scans")
-    scan = scan.add_subparsers(dest="which", required=True)
-    _command(
-        scan.add_parser("u2", help="scan U(a, b) mod n^k over the full grid"),
-        cmd_scan_u2,
-        "n k",
-        FORMATS + ["csv"],
-        case_a=_flag("restrict to a, b, a+b all prime to n"),
-        forbid_a=_flag("exclude a = 0 (mod n)"),
-        forbid_b=_flag("exclude b = 0 (mod n)"),
-        forbid_sum=_flag("exclude a+b = 0 (mod n)"),
-        workers={"type": int, "default": 1, "help": "echoed only; scans run in one process"},
-        budget=_BUDGET,
-        expect_empty=_flag("exit 4 if any witness is found"),
-    )
-    _command(
-        scan.add_parser("quadratic", help="zero set of (da^2 + da*db + db^2) mod n"),
-        cmd_scan_quadratic,
-        "n",
-        FORMATS + ["csv"],
-        budget=_BUDGET,
-        expect_empty=_flag("exit 4 if any zero pair is found"),
-    )
-
-    p = sub.add_parser("verify", help="rerun the whole claim catalog")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--quick", **_flag("reduced samples (default)"))
-    mode.add_argument("--full", **_flag("full-scale samples"))
-    _command(
-        p,
-        cmd_verify,
-        claim={"action": "append", "metavar": "CODE", "help": "run only this claim (repeatable)"},
-        seed={"type": int, "default": DEFAULT_SEED},
-    )
+    named = set(sys.argv[1:] if argv is None else argv)
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, named)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     started = time.perf_counter()
     try:
         inputs, payload, found = args.func(args)

@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
+    _Checked,
     _validate_exponent,
     _validate_int,
     gcd_normalize,
@@ -53,7 +54,7 @@ class VerdictKind(enum.Enum):
 _TIER_KIND = {True: VerdictKind.INCOMPATIBLE, False: VerdictKind.UNDETERMINED}
 
 
-class Verdict(namedtuple("Verdict", "kind reason evidence")):
+class Verdict(_Checked, namedtuple("Verdict", "kind reason evidence")):
     """Outcome of a compatibility check plus the values that drove it.
 
     evidence is a dict, a new empty one when none is given.
@@ -69,7 +70,7 @@ class Verdict(namedtuple("Verdict", "kind reason evidence")):
         return tuple.__new__(cls, (kind, reason, evidence))
 
 
-class ConditionReport(namedtuple(
+class ConditionReport(_Checked, namedtuple(
         "ConditionReport", "coprime_after_normalization parity_class q_div_2n beta")):
     """Necessary conditions for the two-integer equation.
 
@@ -80,13 +81,8 @@ class ConditionReport(namedtuple(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        coprime_after_normalization: bool,
-        parity_class: str,
-        q_div_2n: bool,
-        beta: int | None = None,
-    ):
+    def __new__(cls, coprime_after_normalization: bool, parity_class: str, q_div_2n: bool,
+                beta: int | None = None):
         if q_div_2n != (beta is not None):
             raise ValueError("beta must be present exactly when q_div_2n holds")
         return tuple.__new__(cls, (coprime_after_normalization, parity_class, q_div_2n, beta))

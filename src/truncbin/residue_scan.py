@@ -32,7 +32,7 @@ import time
 from collections import namedtuple
 from typing import NamedTuple
 
-from .binomial_core import _u2_residue, _validate_exponent, _validate_int
+from .binomial_core import _Checked, _u2_residue, _validate_exponent, _validate_int
 from .errors import DomainError, ScanBudgetError
 
 # Default cap on grid cells (n**2k, or (n-1)**2 for the quadratic scan);
@@ -40,7 +40,7 @@ from .errors import DomainError, ScanBudgetError
 DEFAULT_CELL_BUDGET = 10**8
 
 
-class ScanConstraints(namedtuple(
+class ScanConstraints(_Checked, namedtuple(
         "ScanConstraints", "forbid_a_zero forbid_b_zero forbid_sum_zero_mod_n")):
     """Residue-pair exclusions, each stated modulo n (not the full modulus).
 
@@ -49,12 +49,8 @@ class ScanConstraints(namedtuple(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        forbid_a_zero: bool = False,
-        forbid_b_zero: bool = False,
-        forbid_sum_zero_mod_n: bool = False,
-    ):
+    def __new__(cls, forbid_a_zero: bool = False, forbid_b_zero: bool = False,
+                forbid_sum_zero_mod_n: bool = False):
         flags = (forbid_a_zero, forbid_b_zero, forbid_sum_zero_mod_n)
         for name, flag in zip(cls._fields, flags):
             if type(flag) is not bool:

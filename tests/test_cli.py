@@ -17,7 +17,7 @@ import pytest
 
 import truncbin
 from truncbin import ScanConstraints, scan_divisibility
-from truncbin.cli import EXIT_BROKEN_PIPE, main
+from truncbin.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 PERFBENCH_GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens.json"
 
@@ -404,6 +404,33 @@ def test_main_after_a_parse_failure_gives_the_golden_bytes():
     assert failed["exit"] == 2 and "invalid int value: 'x'" in failed["stderr"]
     golden = {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
     assert run(argv) == golden[" ".join(argv)]
+
+
+# ---------------------------------------------------------------------------
+# the parser main builds: only what its argv names
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "eq3", "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--format", "json"],
+    ["scan", "-h"],
+])
+def test_main_without_argv_reads_sys_argv(argv, monkeypatch):
+    import test_cli_golden
+
+    monkeypatch.setattr(sys, "argv", ["truncbin", *argv])
+    monkeypatch.setattr(test_cli_golden, "main", lambda given: main())
+    golden = {" ".join(case["argv"]): case for case in json.loads(test_cli_golden.GOLDEN.read_text())}
+    assert test_cli_golden.run(argv) == golden[" ".join(argv)]
+
+
+def test_a_parser_built_for_one_command_refuses_another(capsys):
+    scan = ["scan", "u2", "--n", "5", "--k", "2"]
+    args = build_parser(scan).parse_args(scan)
+    assert (args.name, args.n, args.k) == ("scan u2", 5, 2)
+    parser = build_parser(["compute", "--a", "1", "--b", "1", "--n", "3"])
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(scan)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: u2 --n 5 --k 2\n")
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,50 @@ def test_properties_and_methods():
 
 
 def test_records_are_tuples():
-    # What every record gains as a tuple: it iterates, equals a tuple of the
-    # same items, and _replace and _make build it without the checks.
+    # What every record gains as a tuple: it iterates and equals a tuple of
+    # the same items; _replace and _make build it through its own check.
     pair = BinomialPair(1, 2, 7)
     assert pair == (1, 2, 7) and list(pair) == [1, 2, 7] and pair._asdict() == dict(a=1, b=2, n=7)
     assert ExponentProfile(1, 0, 2) == Valuation(1, 0, 2)
-    assert pair._replace(n=9) == (1, 2, 9) and BinomialPair._make(("1", 2, 9)).a == "1"
+    assert type(pair._replace(b=5)) is BinomialPair and pair._replace(b=5) == (1, 5, 7)
+    assert type(BinomialPair._make((1, 2, 11))) is BinomialPair
+    with pytest.raises(DomainError, match="^exponent must be a prime >= 3, got 9$"):
+        pair._replace(n=9)
+    with pytest.raises(DomainError, match="^a must be an int, got str$"):
+        BinomialPair._make(("1", 2, 7))
+
+
+_CHECKED = [
+    (BinomialPair(1, 2, 7), {"n": 9}, DomainError),
+    (TrinomialTriple(1, 2, 3, 7), {"c": 3.0}, DomainError),
+    (Verdict(_INCOMPATIBLE, "r", {"x": 1}), {"evidence": {}}, ValueError),
+    (ConditionReport(True, "one-even", False), {"beta": 2}, ValueError),
+    (ScanConstraints(), {"forbid_a_zero": 1}, DomainError),
+]
+
+
+@pytest.mark.parametrize("record, change, error", _CHECKED,
+                         ids=[type(record).__name__ for record, _, _ in _CHECKED])
+def test_replace_and_make_run_the_check(record, change, error):
+    with pytest.raises(error) as caught:
+        record._replace(**change)
+    assert type(caught.value) is error
+    with pytest.raises(error):
+        type(record)._make(dict(record._asdict(), **change).values())
+    assert type(record)._make(record) == record and type(type(record)._make(record)) is type(record)
+
+
+def test_make_and_replace_keep_the_defaults_and_field_count():
+    # ClaimResult has no check but a default: _make fills in a new details dict.
+    result = ClaimResult._make(("I.1", "t", True, 1.0))
+    assert result.details == {} and result.details is not ClaimResult("c", "t", True, 1.0).details
+    assert ScanConstraints._make(()) == ScanConstraints()
+    with pytest.raises(DomainError, match="^forbid_a_zero must be a bool, got int$"):
+        ScanConstraints._make((1, 0, 0))
+    with pytest.raises(TypeError):
+        BinomialPair._make((1, 2, 7, 9))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        BinomialPair(1, 2, 7)._replace(m=9)
 
 
 @pytest.mark.parametrize("build, error, message", [

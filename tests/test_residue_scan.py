@@ -52,9 +52,16 @@ def test_u2_mod_translation_invariance():
         assert u2_mod(a + j * m, b + k * m, n, m) == u2_mod(a, b, n, m)
 
 
+def test_u2_mod_at_the_least_modulus():
+    # m = 2, the least modulus accepted: U(a, b) is even for every a and b.
+    for a, b, n in itertools.product(range(-4, 5), range(-4, 5), (3, 5, 7)):
+        assert u2_mod(a, b, n, 2) == truncated2_direct(BinomialPair(a, b, n)) % 2, (a, b, n)
+
+
 def test_u2_mod_rejects_tiny_modulus():
-    with pytest.raises(DomainError):
-        u2_mod(1, 1, 3, 1)
+    for m in (1, 0, -2):
+        with pytest.raises(DomainError, match=f"^modulus must be >= 2, got {m}$"):
+            u2_mod(1, 1, 3, m)
 
 
 def test_u2_mod_rejects_bad_arguments():
