@@ -4,10 +4,10 @@ Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
 scan (u2|quadratic), verify, declared in one table, _COMMANDS.  main
 builds only the parsers its argv names: the four commands with their
 help, and a group's subcommands or a command's options only where argv
-holds that name, which covers every parser argparse can print from for
-that argv.  Every run emits one report envelope
-(command, echoed inputs, result, timing) as text or JSON; scans can
-also emit their witnesses as CSV.  Every report goes to stdout through
+holds that name.  argparse prints only from the parsers on argv's path,
+all built whole, so usage, help and errors keep their bytes.  Every run
+emits one report envelope (command, echoed inputs, result, timing) as
+text or JSON; scans can also emit their witnesses as CSV.  Every report goes to stdout through
 one writer as it is rendered: JSON from residue_scan._dump, and the pairs
 of JSON, CSV and text from one row renderer, residue_scan._write_rows, a
 write per row, so no report is held whole.  It renders each column tile
