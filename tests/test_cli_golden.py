@@ -88,6 +88,8 @@ CASES = [
     [*_EQ3, "--a", "3", "--b", "3", "--c", "1", "--n", "3"],
     [*_EQ3, "--a", "0", "--b", "0", "--c", "0", "--n", "3"],
     [*_EQ3, *_PAIR, "--n", "3"],
+    # All odd with 7 | a+b+c: the 2n condition refuses it, so no parity test is needed.
+    [*_EQ3, *_PAIR, "--c", "5", "--n", "7"],
     # U(1, 2) at n = 10007 has 4775 digits; the verdict is decided from residues.
     [*_EQ3, "--a", "1", "--b", "2", "--c", "20011", "--n", "10007"],
     [*_EQ3, "--a", "1", "--b", "2", "--c", "20011", "--n", "10007", "--format", "json"],
@@ -113,6 +115,8 @@ CASES = [
     [*_CASE_B, "--a", "1", "--b", str(101**201 - 1), "--c", "10201", "--n", "101",
      "--format", "json"],
     [*_CASE_B, *_PAIR, "--c", "4", "--n", "9"],
+    [*_CASE_B, "--a", "1", "--b", "4", "--c", "9", "--n", "3"],
+    [*_CASE_B, "--a", "1", "--b", "5", "--c", "0", "--n", "3"],
     # scan u2
     [*_U2, "--n", "7", "--k", "2", "--case-a"],
     [*_U2, "--n", "7", "--k", "2", "--case-a", "--format", "json"],
