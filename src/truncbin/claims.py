@@ -25,6 +25,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .binomial_core import (
+    SERIES_FORMS,
     BinomialPair,
     TrinomialTriple,
     _Checked,
@@ -45,7 +46,6 @@ from .residue_scan import (
     ScanReport,
     scan_divisibility,
     scan_quadratic,
-    timed_scan_quadratic,
 )
 from .valuation import factored_u2, padic_valuation, trinomial_rhs_factored
 
@@ -111,7 +111,7 @@ def _third(rng, n, a, b):
 
 
 def _sample_case_a_triple(rng, n, residues=None):
-    """A coprime triple with 2n | a+b+c, exactly one even, none divisible by n.
+    """A coprime triple with 2n | a+b+c, none divisible by n (so exactly one even).
 
     With residues given, (a mod n, b mod n) is drawn from that list.
     """
@@ -124,8 +124,7 @@ def _sample_case_a_triple(rng, n, residues=None):
             b = db + n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n)
         c = _third(rng, n, a, b)
         if a % n and b % n and c % n and math.gcd(a, b, c) == 1:
-            if sum(1 for x in (a, b, c) if x % 2 == 0) == 1:
-                return TrinomialTriple(a, b, c, n)
+            return TrinomialTriple(a, b, c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def _check_series_forms(pair, n):
     a, b = pair
     p = BinomialPair(a, b, n)
     direct = truncated2_direct(p)
-    for form in ("mixed", "q_minus_a", "q_minus_b"):
+    for form in SERIES_FORMS:
         if truncated2_series(p, form) != direct:
             return {"form": form}
 
@@ -292,15 +291,17 @@ def _claim_scan_eleven(rng, scale, seed):
 
 
 def _claim_quadratic_tables(rng, scale, seed):
-    report5, best5 = timed_scan_quadratic(5)
-    report7, best7 = timed_scan_quadratic(7)
-    report3, _ = timed_scan_quadratic(3)
+    # n = 5 and n = 7 are each timed as the best of 3 scans.
+    best5 = best7 = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report5 = scan_quadratic(5)
+        t1 = time.perf_counter()
+        report7 = scan_quadratic(7)
+        best5, best7 = min(best5, t1 - t0), min(best7, time.perf_counter() - t1)
+    report3 = scan_quadratic(3)
 
-    zero_sets_ok = (
-        report5.zero_pairs == ()
-        and (1, 2) in report7.zero_pairs
-        and len(report7.zero_pairs) > 0
-    )
+    zero_sets_ok = report5.zero_pairs == () and (1, 2) in report7.zero_pairs
     under_time_bound = max(best5, best7) < 1e-3
     # Cross-check against exact valuations: with a, b in [1, n-1], U(a, b)
     # gains a second factor of n exactly when n | a+b or the quadratic
@@ -450,11 +451,3 @@ def run_claims(codes=None, scale: Scale = QUICK, seed=DEFAULT_SEED) -> list[Clai
         return [run_claim(code, scale=scale, seed=seed) for code in selected]
     finally:
         _shared_pairs.cache_clear()
-
-
-def format_claim_line(result: ClaimResult) -> str:
-    status = "PASS" if result.passed else "FAIL"
-    line = f"[{status}] {result.code:<9} {result.title} ({result.duration_ms:.1f} ms)"
-    if "verdict" in result.details:
-        line += f" -> {result.details['verdict']}"
-    return line

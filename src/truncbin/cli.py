@@ -47,7 +47,7 @@ from .binomial_core import (
     truncated2_series,
     truncated3_terms,
 )
-from .claims import DEFAULT_SEED, FULL, QUICK, ClaimResult, format_claim_line, run_claims
+from .claims import DEFAULT_SEED, FULL, QUICK, run_claims
 from .compatibility import (
     VerdictKind,
     binomial_equation_verdict,
@@ -138,7 +138,11 @@ def _write_claims(write, payload, timing_ms):
     """The text form of verify: one line per claim, then a summary."""
     results = payload["results"]
     for row in results:
-        write(format_claim_line(ClaimResult(**row)) + "\n")
+        status = "PASS" if row["passed"] else "FAIL"
+        line = f"[{status}] {row['code']:<9} {row['title']} ({row['duration_ms']:.1f} ms)"
+        if "verdict" in row["details"]:
+            line += f" -> {row['details']['verdict']}"
+        write(line + "\n")
     failed = [row["code"] for row in results if not row["passed"]]
     if failed:
         summary = f"{len(failed)} claim(s) failed: {', '.join(failed)}"

@@ -207,8 +207,10 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
     """Incompatibility check for Case A triples.
 
     Preconditions: the triple is coprime with none of a, b, c divisible
-    by n, the sum a+b+c is divisible by 2n, and exactly one of the three
-    is even.  Violations raise PreconditionError naming the condition.
+    by n, and the sum a+b+c is divisible by 2n.  Violations raise
+    PreconditionError naming the condition.  These force exactly one of
+    a, b, c to be even, so parity is not tested: an even sum has two odd
+    terms or none, and three even terms would not be coprime.
 
     Rule tier: if v_n(U(a, b)) < 2 the right side is divisible by n only
     to the first power while the left side (2*beta*n)**n carries at least
@@ -235,11 +237,6 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
     if not t.sum_divisible_by_2n:
         raise PreconditionError(
             f"case-a: 2n = {2 * t.n} does not divide a+b+c = {t.s}"
-        )
-    evens = sum(1 for x in (t.a, t.b, t.c) if x % 2 == 0)
-    if evens != 1:
-        raise PreconditionError(
-            f"case-a: exactly one of a, b, c must be even, found {evens}"
         )
 
     n = t.n

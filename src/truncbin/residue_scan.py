@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -71,9 +70,6 @@ class ScanConstraints(_Checked, namedtuple(
             return False
         return True
 
-    def to_jsonable(self) -> dict:
-        return self._asdict()
-
 
 class ScanReport(NamedTuple):
     """Canonical result of a divisibility scan.
@@ -107,7 +103,7 @@ class ScanReport(NamedTuple):
             "n": self.n,
             "power_k": self.power_k,
             "modulus": self.modulus,
-            "constraints": self.constraints.to_jsonable(),
+            "constraints": self.constraints._asdict(),
             "witness_count": self.witness_count,
             "witnesses": pairs(self.rows, self.modulus),
             "cells_scanned": self.cells_scanned,
@@ -335,13 +331,3 @@ def scan_quadratic(n: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Quadrat
         zeros_other=tuple(zeros_other),
         cells_scanned=(n - 1) * (n - 1),
     )
-
-
-def timed_scan_quadratic(n: int) -> tuple[QuadraticScanReport, float]:
-    """scan_quadratic plus its best-of-3 wall time in seconds."""
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        report = scan_quadratic(n)
-        best = min(best, time.perf_counter() - start)
-    return report, best

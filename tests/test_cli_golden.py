@@ -253,7 +253,7 @@ def _u2_case(n, k, constraints, *flags, budget=None, rows=None):
         m = n**k
         cells = sum(constraints.allows(a, b, n) for a in range(m) for b in range(m))
         report = patched = ScanReport(n, k, m, constraints, rows, cells)
-    inputs = {"n": n, "k": k, "constraints": constraints.to_jsonable(), "workers": 1,
+    inputs = {"n": n, "k": k, "constraints": constraints._asdict(), "workers": 1,
               "expect_empty": False}
     csv_rows = [[n, k, a, b] for a, b in report.witnesses]
     argv = [*_U2, "--n", str(n), "--k", str(k), *flags]

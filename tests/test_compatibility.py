@@ -1,6 +1,8 @@
 """Compatibility verdict and case-analysis tests."""
+import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -165,6 +167,30 @@ def test_case_a_verdict_rejects_case_b_input():
 def test_case_a_verdict_rejects_bad_sum():
     with pytest.raises(PreconditionError, match="2n"):
         case_A_verdict(TrinomialTriple(1, 1, 2, 3))
+
+
+# The refusals of case_A_verdict: not coprime, n divides one variable, n divides
+# two, 2n does not divide the sum.
+_CASE_A_REFUSALS = re.compile(
+    r"triple must be coprime \(normalize first\); gcd = \d+"
+    r"|case-a: exponent \d+ divides variable [abc]"
+    r"|\d+ divides [abc], [abc]; a coprime solution triple admits at most one"
+    r"|case-a: 2n = \d+ does not divide a\+b\+c = -?\d+")
+
+
+def test_case_a_preconditions_imply_exactly_one_even():
+    # No parity test is needed: every triple the other conditions admit has one even entry.
+    accepted = 0
+    for n in (3, 5, 7):
+        for a, b, c in itertools.product(range(-10, 11), repeat=3):
+            try:
+                case_A_verdict(TrinomialTriple(a, b, c, n))
+            except PreconditionError as exc:
+                assert _CASE_A_REFUSALS.fullmatch(str(exc)), (a, b, c, n, str(exc))
+                continue
+            assert [a % 2, b % 2, c % 2].count(0) == 1, (a, b, c, n)
+            accepted += 1
+    assert accepted > 0
 
 
 def test_case_a_rule_monotonicity():
