@@ -40,8 +40,6 @@ def sample_case_a_triple(rng, n, bound=10**5):
             continue
         if math.gcd(a, b, c) != 1:
             continue
-        if sum(1 for x in (a, b, c) if x % 2 == 0) != 1:
-            continue
         return TrinomialTriple(a, b, c, n)
 
 
