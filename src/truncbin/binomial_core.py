@@ -172,19 +172,30 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     for every integer pair; that equivalence is a library contract and is
     exercised by the test suite.
 
-    Each sum is evaluated by Horner's rule in its first variable over the
-    cached row C(n, v)/n of _inner_row, times n, so no term builds powers
-    of its own.  The arithmetic is exact, so the value is the sum as written.
+    The sums are evaluated in one pass, all three forms together, and the
+    requested one is returned; the arithmetic is exact.
     """
+    if form not in SERIES_FORMS:
+        raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
+    return _series_forms(p)[SERIES_FORMS.index(form)]
+
+
+def _series_forms(p: BinomialPair) -> tuple[int, int, int]:
+    """The three sums of truncated2_series, in SERIES_FORMS order, by one Horner
+    loop over _inner_row(n): in a for the mixed form, in q = -(a + b) for the two
+    others, where q carries the signs because n - 2 is odd."""
     a, b, n = p.a, p.b, p.n
-    q = a + b
-    if form == "mixed":
-        return n * a * b * _horner(_inner_row(n), a, b)
-    if form == "q_minus_a":
-        return n * -q * -a * _horner(_inner_row(n), q, -a)
-    if form == "q_minus_b":
-        return n * -q * -b * _horner(_inner_row(n), q, -b)
-    raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
+    q = -(a + b)
+    mixed = qa = qb = 0
+    ap = bp = 1
+    for c in _inner_row(n):
+        cb = c * bp
+        mixed = mixed * a + cb
+        qa = qa * q + c * ap
+        qb = qb * q + cb
+        ap *= a
+        bp *= b
+    return n * a * b * mixed, n * q * a * qa, n * q * b * qb
 
 
 @lru_cache(maxsize=64)

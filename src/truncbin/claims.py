@@ -29,9 +29,9 @@ from .binomial_core import (
     BinomialPair,
     TrinomialTriple,
     _Checked,
+    _series_forms,
     _u2_residue,
     truncated2_direct,
-    truncated2_series,
     truncated3,
 )
 from .compatibility import (
@@ -52,6 +52,8 @@ from .valuation import factored_u2, padic_valuation, trinomial_rhs_factored
 DEFAULT_SEED = 271828
 IDENTITY_EXPONENTS = (3, 5, 7, 11, 13)
 PAIR_BOUND = 10**6
+_SPAN = 2 * PAIR_BOUND + 1
+_SPAN_BITS = _SPAN.bit_length()
 
 
 class Scale(NamedTuple):
@@ -84,8 +86,15 @@ class ClaimResult(_Checked, namedtuple("ClaimResult", "code title passed duratio
 # samplers
 
 def _draw(rng):
-    """One integer in [-PAIR_BOUND, PAIR_BOUND]: randint's draw, for less work."""
-    return rng.randrange(2 * PAIR_BOUND + 1) - PAIR_BOUND
+    """One integer in [-PAIR_BOUND, PAIR_BOUND]: randrange(_SPAN) - PAIR_BOUND, inlined.
+
+    randrange's _randbelow runs this loop: _SPAN.bit_length() bits, redrawn while
+    they are _SPAN or more.  So it takes the same bits and gives the same stream.
+    """
+    r = rng.getrandbits(_SPAN_BITS)
+    while r >= _SPAN:
+        r = rng.getrandbits(_SPAN_BITS)
+    return r - PAIR_BOUND
 
 
 @functools.lru_cache(maxsize=1)
@@ -161,8 +170,8 @@ def _check_series_forms(pair, n):
     a, b = pair
     p = BinomialPair(a, b, n)
     direct = truncated2_direct(p)
-    for form in SERIES_FORMS:
-        if truncated2_series(p, form) != direct:
+    for form, value in zip(SERIES_FORMS, _series_forms(p)):
+        if value != direct:
             return {"form": form}
 
 

@@ -42,9 +42,9 @@ from .binomial_core import (
     SERIES_FORMS,
     BinomialPair,
     TrinomialTriple,
+    _series_forms,
     gcd_normalize,
     truncated2_direct,
-    truncated2_series,
     truncated3_terms,
 )
 from .claims import DEFAULT_SEED, FULL, QUICK, run_claims
@@ -217,8 +217,7 @@ def cmd_compute(args):
         u = truncated2_direct(p)
         payload = {"u": u}
         if args.all_forms:
-            forms = {form: truncated2_series(p, form) for form in SERIES_FORMS}
-            payload["forms"] = {"direct": u, **forms}
+            payload["forms"] = {"direct": u, **dict(zip(SERIES_FORMS, _series_forms(p)))}
     return _echo(args), payload, None
 
 

@@ -35,20 +35,42 @@ def off_by_one(fn):
 
 
 def test_series_form_failure_names_pair_exponent_and_form(monkeypatch):
-    monkeypatch.setattr(claims, "truncated2_series", off_by_one(binomial_core.truncated2_series))
+    def forms(p):
+        return tuple(value + 1 for value in binomial_core._series_forms(p))
+
+    monkeypatch.setattr(claims, "_series_forms", forms)
     assert failure("I.2") == {"failed_at": [0, 0, 3], "form": "mixed"}
 
 
 def test_series_form_failure_scans_every_pair_before_the_next_exponent(monkeypatch):
     # The shared sample opens with (0, 0), (0, 5), (1, -1), (-1, -1), (1, 1).
-    def series(p, form):
-        broken = form == "q_minus_b" and (
-            (p.a, p.b, p.n) == (-1, -1, 5) or (p.a, p.b, p.n) == (1, -1, 7)
-        )
-        return binomial_core.truncated2_series(p, form) + broken
+    def forms(p):
+        mixed, q_minus_a, q_minus_b = binomial_core._series_forms(p)
+        broken = (p.a, p.b, p.n) == (-1, -1, 5) or (p.a, p.b, p.n) == (1, -1, 7)
+        return mixed, q_minus_a, q_minus_b + broken
 
-    monkeypatch.setattr(claims, "truncated2_series", series)
+    monkeypatch.setattr(claims, "_series_forms", forms)
     assert failure("I.2") == {"failed_at": [-1, -1, 5], "form": "q_minus_b"}
+
+
+def test_draw_takes_the_stream_of_randrange():
+    # _draw inlines randrange's rejection loop; a CPython that draws differently
+    # in randrange fails here before any catalog row moves.
+    def old_draw(rng):
+        return rng.randrange(2 * PAIR_BOUND + 1) - PAIR_BOUND
+
+    def stream(draw):
+        rng = random.Random(f"{DEFAULT_SEED}:shared-pairs")
+        out = []
+        for i in range(100_000):
+            out.append(draw(rng))
+            if i % 3 == 0:
+                out.append(rng.random())
+            if i % 7 == 0:
+                out.append(rng.choice(claims.IDENTITY_EXPONENTS))
+        return out
+
+    assert stream(claims._draw) == stream(old_draw)
 
 
 @pytest.mark.parametrize("value, condition", [(1, "odd_value"), (2, "not_divisible_by_n")])
