@@ -83,8 +83,6 @@ _ERROR_EXITS = {
     DomainError: EXIT_VALIDATION,
 }
 
-BUDGET_ENV_VAR = "SCAN_BUDGET_CELLS"
-
 FORMATS = ["text", "json"]
 # What --expect-empty counts, by scan.
 _FOUND = {"scan u2": "witnesses", "scan quadratic": "zero pairs"}
@@ -254,17 +252,6 @@ def cmd_verdict_case_b_check(args):
     return _echo(args), payload, None
 
 
-def _resolve_budget(flag):
-    """The --budget value if given, else SCAN_BUDGET_CELLS, else the default."""
-    if flag is not None:
-        return flag
-    env = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
-
-
 def _scan_payload(args, report, k, rows, size):
     """What a scan prints: for CSV, a function that writes the header and
     the pairs, held as rows (a, cols) with every column in range(size);
@@ -295,14 +282,13 @@ def cmd_scan_u2(args):
         workers=args.workers,
         expect_empty=args.expect_empty,
     )
-    budget = _resolve_budget(args.budget)
-    report = scan_divisibility(args.n, args.k, constraints, cell_budget=budget)
+    report = scan_divisibility(args.n, args.k, constraints, cell_budget=args.budget)
     payload = _scan_payload(args, report, report.power_k, report.rows, report.modulus)
     return inputs, payload, report.witness_count
 
 
 def cmd_scan_quadratic(args):
-    report = scan_quadratic(args.n, cell_budget=_resolve_budget(args.budget))
+    report = scan_quadratic(args.n, cell_budget=args.budget)
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
     pairs = report.zero_pairs
     rows = [(a, (b,)) for a, b in pairs]
@@ -330,7 +316,7 @@ def _flag(help):
 
 
 # The --budget option of both scans, and the formats a scan prints.
-_BUDGET = {"type": int, "help": f"cell cap (default {DEFAULT_CELL_BUDGET}, or {BUDGET_ENV_VAR})"}
+_BUDGET = {"type": int, "default": DEFAULT_CELL_BUDGET, "help": f"cell cap (default {DEFAULT_CELL_BUDGET})"}
 _SCAN_FORMATS = FORMATS + ["csv"]
 
 

@@ -274,15 +274,13 @@ def scan_divisibility(
         raise ScanBudgetError(n, 2 * k, cell_budget)
     m, period = n**k, n ** max(k - 1, 1)
     table = [pow(x, n, m) for x in range(period)]
-    # Doubled table lets the cell check index (a + b) without a reduction.
-    table2 = table + table
 
     def checked_row(p):
         """The allowed-cell count of row p and its witness columns mod P, cell by cell."""
         # The constraints are stated mod n, so the allowed columns repeat with period n.
         allowed = [r for r in range(n) if constraints.allows(p, r, n)]
         cols = [q + r for q in range(0, period, n) for r in allowed]
-        return len(cols), [b for b in cols if table2[p + b] == (table[p] + table[b]) % m]
+        return len(cols), [b for b in cols if table[(p + b) % period] == (table[p] + table[b]) % m]
 
     # Row a = u*p is row p with column y moved to u*y.  The constraints are
     # stated mod n and u is a unit there, so both rows allow as many cells.

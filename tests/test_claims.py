@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from truncbin import binomial_core, claims
+from truncbin import binomial_core, claims, compatibility, residue_scan, valuation
 from truncbin.claims import (
     CLAIM_CODES,
     DEFAULT_SEED,
@@ -21,6 +21,7 @@ from truncbin.claims import (
     run_claim,
     run_claims,
 )
+from truncbin.compatibility import Verdict, VerdictKind
 
 
 def failure(code):
@@ -91,6 +92,81 @@ def test_decomposition_failure_names_triple_and_exponent(monkeypatch):
     assert failure("II.2") == {"failed_at": [*first, 3]}
 
 
+def draw(rng):
+    return rng.randrange(2 * PAIR_BOUND + 1) - PAIR_BOUND
+
+
+def first_two_term_sample():
+    """I.1's first (a, b, n), drawn as the claim draws it."""
+    rng = random.Random(f"{DEFAULT_SEED}:I.1")
+    n = rng.choice(claims.IDENTITY_EXPONENTS)
+    opposite = rng.random() < 0.1
+    a = draw(rng)
+    return [a, -a if opposite else draw(rng), n]
+
+
+def test_two_term_failure_names_the_wrong_kind(monkeypatch):
+    monkeypatch.setattr(claims, "binomial_equation_verdict",
+                        lambda p: Verdict(VerdictKind.UNDETERMINED, "broken"))
+    assert failure("I.1") == {"failed_at": first_two_term_sample(), "kind": "Undetermined"}
+
+
+def test_two_term_failure_names_a_bad_residual(monkeypatch):
+    def verdict(p):
+        v = compatibility.binomial_equation_verdict(p)
+        return Verdict(v.kind, v.reason, {**v.evidence, "residual": v.evidence["residual"] + 1})
+
+    monkeypatch.setattr(claims, "binomial_equation_verdict", verdict)
+    assert failure("I.1") == {"failed_at": first_two_term_sample(), "bad_residual": True}
+
+
+FACTORED = [("II.5", 3), ("II.6", 5), ("II.8", 7)]
+
+
+@pytest.mark.parametrize("code", [code for code, _ in FACTORED])
+def test_factored_pair_failure_names_the_first_shared_pair(monkeypatch, code):
+    monkeypatch.setattr(claims, "factored_u2", off_by_one(valuation.factored_u2))
+    result = run_claim(code)
+    assert not result.passed
+    assert result.details == {"failed_pair": [0, 0]}
+
+
+@pytest.mark.parametrize("code, n", FACTORED)
+def test_factored_triple_failure_names_the_first_triple(monkeypatch, code, n):
+    monkeypatch.setattr(claims, "trinomial_rhs_factored",
+                        off_by_one(valuation.trinomial_rhs_factored))
+    rng = random.Random(f"{DEFAULT_SEED}:{code}")
+    a, b = draw(rng), draw(rng)
+    c = 2 * n * rng.randint(-PAIR_BOUND // (2 * n), PAIR_BOUND // (2 * n)) - a - b
+    result = run_claim(code)
+    assert not result.passed
+    assert result.details == {"failed_triple": [a, b, c]}
+
+
+def test_bracket_mismatches_report_the_smallest_counterexample(monkeypatch):
+    # Pairs from [-2, 2]^2, so that several mismatches tie on |a| + |b|, and the
+    # printed bracket made wrong wherever a + b is odd.
+    def printed(a, b):
+        return binomial_core.truncated2_direct(binomial_core.BinomialPair(a, b, 11)) + (a + b) % 2
+
+    monkeypatch.setattr(claims, "_draw", lambda rng: 2 - rng.randrange(5))
+    monkeypatch.setattr(claims, "_printed_u11", printed)
+    rng = random.Random(f"{DEFAULT_SEED}:II.9")
+    pairs = [(2 - rng.randrange(5), 2 - rng.randrange(5)) for _ in range(QUICK.triples)]
+    odd = sorted((abs(a) + abs(b), (a, b)) for a, b in pairs if (a + b) % 2)
+    # The first of the pairs tied on the least |a| + |b| is not the least pair.
+    tied = [(a, b) for a, b in pairs if (a + b) % 2 and abs(a) + abs(b) == odd[0][0]]
+    assert tied[0] != odd[0][1]
+    result = run_claim("II.9")
+    assert result.passed
+    assert result.details == {
+        "verdict": "COUNTEREXAMPLE",
+        "counterexample": list(odd[0][1]),
+        "mismatch_count": len(odd),
+        "pairs": QUICK.triples,
+    }
+
+
 # Details that hold a time, or a comparison of one with a bound.
 TIMED = ("constrained_seconds", "constrained_under_1s", "best_enumeration_seconds",
          "enumeration_under_1ms")
@@ -128,3 +204,83 @@ def test_run_claims_draws_the_shared_sample_once_and_drops_it(monkeypatch):
     run_claims()
     assert (seen[-1].misses, seen[-1].hits, seen[-1].currsize) == (1, 5, 1)
     assert _shared_pairs.cache_info().currsize == 0
+
+
+def test_scan_audit_failure_leaves_the_other_conditions(monkeypatch):
+    expected = {**untimed(run_claim("II.A4")), "audit_ok": False}
+    monkeypatch.setattr(claims, "truncated2_direct", off_by_one(binomial_core.truncated2_direct))
+    result = run_claim("II.A4")
+    assert not result.passed
+    assert untimed(result) == expected
+
+
+def test_quadratic_cross_check_failure_names_the_first_cell(monkeypatch):
+    # Every valuation at least 2: (1, 1) at n = 5 has neither 5 | a+b nor a zero.
+    monkeypatch.setattr(claims, "padic_valuation",
+                        lambda u, n: valuation.padic_valuation(u * n * n, n))
+    result = run_claim("II.7")
+    assert not result.passed
+    assert result.details == {"cross_check_failed_at": [1, 1, 5]}
+
+
+def case_a_verdicts(monkeypatch, tier, at):
+    """case_A_verdict with tier reported Undetermined at exponent at; the triples it saw."""
+    seen = []
+
+    def verdict(t):
+        seen.append(t)
+        v = compatibility.case_A_verdict(t)
+        if t.n == at:
+            v = Verdict(v.kind, v.reason, {**v.evidence, tier: VerdictKind.UNDETERMINED})
+        return v
+
+    monkeypatch.setattr(claims, "case_A_verdict", verdict)
+    return seen
+
+
+def test_case_a_rule_tier_failure_names_the_first_triple(monkeypatch):
+    seen = case_a_verdicts(monkeypatch, "rule_tier", 3)
+    t = claims._sample_case_a_triple(random.Random(f"{DEFAULT_SEED}:II.A"), 3)
+    assert failure("II.A") == {"failed_at": [t.a, t.b, t.c, 3], "tier": "rule"}
+    assert seen == [t]
+
+
+def test_case_a_exact_tier_failure_names_the_first_n7_triple(monkeypatch):
+    seen = case_a_verdicts(monkeypatch, "exact_tier", 7)
+    details = failure("II.A")
+    t = seen[-1]
+    assert details == {"failed_at": [t.a, t.b, t.c, 7], "tier": "exact"}
+    # The rule tier passed every n = 3 and n = 5 triple first.
+    assert [s.n for s in seen] == [3] * QUICK.triples + [5] * QUICK.triples + [7]
+    # The first n = 7 triple is drawn from the zeros of the quadratic form.
+    assert (t.a % 7, t.b % 7) in residue_scan.scan_quadratic(7).zero_pairs
+
+
+def test_exponent_algebra_failure_names_rho_c_and_exponent(monkeypatch):
+    def profile(rho_c, n):
+        p = compatibility.case_B_exponents(rho_c, n)
+        return p._replace(rho_q=p.rho_q + (rho_c == 2 and n == 5))
+
+    monkeypatch.setattr(claims, "case_B_exponents", profile)
+    assert failure("II.12") == {"failed_at": [2, 5]}
+
+
+def test_exponent_algebra_failure_names_an_accepted_zero(monkeypatch):
+    def profile(rho_c, n):
+        return compatibility.case_B_exponents(rho_c or 1, n)
+
+    monkeypatch.setattr(claims, "case_B_exponents", profile)
+    result = run_claim("II.12")
+    assert not result.passed
+    assert result.details == {"rho_c_zero_not_rejected": True}
+
+
+def test_lift_failure_names_pair_exponent_and_valuation(monkeypatch):
+    monkeypatch.setattr(claims, "padic_valuation", lambda u, n: valuation.padic_valuation(n, n))
+    rng = random.Random(f"{DEFAULT_SEED}:II.lift")
+    n = rng.choice(claims.IDENTITY_EXPONENTS)
+    a = draw(rng)
+    while a % n == 0:
+        a = draw(rng)
+    b = n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n) - a
+    assert failure("II.lift") == {"failed_at": [a, b, n], "exponent": 1}

@@ -294,22 +294,21 @@ def test_scan_echoes_the_requested_workers(capsys):
     assert json.loads(out)["inputs"]["workers"] == 64
 
 
-def test_scan_budget_env_var(capsys, monkeypatch):
+def test_scan_budget_comes_from_argv_alone(capsys, monkeypatch):
+    from test_cli_golden import mask
+
+    scans = [["scan", "u2", "--n", "13", "--k", "2", "--format", "json"],
+             ["scan", "quadratic", "--n", "5"]]
+    monkeypatch.delenv("SCAN_BUDGET_CELLS", raising=False)
+    unset = [run_cli(capsys, *argv) for argv in scans]
     monkeypatch.setenv("SCAN_BUDGET_CELLS", "100")
-    code, _, _ = run_cli(capsys, "scan", "u2", "--n", "13", "--k", "2")
+    for argv, (code, out, err) in zip(scans, unset):
+        assert code == 0
+        again = run_cli(capsys, *argv)
+        assert (again[0], mask(again[1]), again[2]) == (0, mask(out), err), argv
+    code, _, err = run_cli(capsys, "scan", "u2", "--n", "13", "--k", "2", "--budget", "100")
     assert code == 5
-    # an explicit flag wins over the environment
-    code, _, _ = run_cli(
-        capsys, "scan", "u2", "--n", "13", "--k", "2", "--budget", "10000000"
-    )
-    assert code == 0
-
-
-def test_scan_quadratic_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SCAN_BUDGET_CELLS", "15")
-    code, _, err = run_cli(capsys, "scan", "quadratic", "--n", "5")
-    assert code == 5
-    assert "needs 16 cells" in err
+    assert "needs 28561 cells" in err
 
 
 def test_scan_quadratic_csv(capsys):

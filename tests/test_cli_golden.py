@@ -14,8 +14,8 @@ text layout on reports built by the library or by hand, among them rows
 that share one cols tuple, as a scan's rows do.
 
 argparse wraps its usage lines to the terminal width, so every run sets
-COLUMNS; it also unsets the scan budget variable.  The file is recorded
-with CPython 3.11, and argparse's wording can differ in other versions.
+COLUMNS.  The file is recorded with CPython 3.11, and argparse's wording
+can differ in other versions.
 """
 import contextlib
 import csv
@@ -29,7 +29,7 @@ from unittest import mock
 import pytest
 
 from truncbin import ScanConstraints, ScanReport, scan_divisibility, scan_quadratic
-from truncbin.cli import BUDGET_ENV_VAR, main
+from truncbin.cli import main
 from truncbin.residue_scan import DEFAULT_CELL_BUDGET
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -202,7 +202,6 @@ def run(argv: list[str]) -> dict:
     """One CLI call in-process: its argv, exit code and masked output."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        os.environ.pop(BUDGET_ENV_VAR, None)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
