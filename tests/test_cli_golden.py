@@ -96,6 +96,9 @@ CASES = [
     # c lifted so that the equation holds mod 7^14: v_sum = lhs = 14, both tiers silent.
     [*_EQ3, "--a", "1", "--b", "2", "--c", "1415372820201", "--n", "7"],
     [*_EQ3, "--a", "1", "--b", "2", "--c", "1415372820201", "--n", "7", "--format", "json"],
+    # v_59(U(1, 3)) = 2 exactly: the rule tier's v < 2 is silent, the exact tier decides.
+    [*_EQ3, "--a", "1", "--b", "3", "--c", "114", "--n", "59"],
+    [*_EQ3, "--a", "1", "--b", "3", "--c", "114", "--n", "59", "--format", "json"],
     # verdict exponents
     ["verdict", "exponents", "--rho-c", "1", "--n", "5"],
     ["verdict", "exponents", "--rho-c", "3", "--n", "7", "--format", "json"],
