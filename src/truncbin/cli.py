@@ -252,17 +252,17 @@ def cmd_verdict_case_b_check(args):
     return _echo(args), payload, None
 
 
-def _scan_payload(args, report, k, rows, size):
+def _scan_payload(args, report, k):
     """What a scan prints: for CSV, a function that writes the header and
-    the pairs, held as rows (a, cols) with every column in range(size);
-    else the report's dict with its pair lists held as _PairRows, which
-    _dump writes as JSON and the text form as list reprs."""
+    the report's rows (a, cols), every column in range(n**k); else the
+    report's dict with its pair lists held as _PairRows, which _dump
+    writes as JSON and the text form as list reprs."""
     if args.format != "csv":
         return report._payload(_PairRows)
 
     def write_csv(write):
         write("n,k,a_res,b_res\r\n")
-        _write_rows(rows, f"{report.n},{k},%d,", "", "\r\n", size, write)
+        _write_rows(report.rows, f"{report.n},{k},%d,", "", "\r\n", report.n**k, write)
 
     return write_csv
 
@@ -283,16 +283,13 @@ def cmd_scan_u2(args):
         expect_empty=args.expect_empty,
     )
     report = scan_divisibility(args.n, args.k, constraints, cell_budget=args.budget)
-    payload = _scan_payload(args, report, report.power_k, report.rows, report.modulus)
-    return inputs, payload, report.witness_count
+    return inputs, _scan_payload(args, report, report.power_k), report.witness_count
 
 
 def cmd_scan_quadratic(args):
     report = scan_quadratic(args.n, cell_budget=args.budget)
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
-    pairs = report.zero_pairs
-    rows = [(a, (b,)) for a, b in pairs]
-    return _echo(args), _scan_payload(args, report, 1, rows, report.n), len(pairs)
+    return _echo(args), _scan_payload(args, report, 1), len(report.zero_pairs)
 
 
 def cmd_verify(args):

@@ -99,7 +99,6 @@ class ExponentProfile(NamedTuple):
 class CaseClassification(NamedTuple):
     kind: str  # "A" or "B"
     variable: str | None = None  # which of a, b, c the exponent divides
-    rho: int | None = None  # its exact valuation
 
 
 class CaseBReport(NamedTuple):
@@ -178,29 +177,21 @@ def classify_divisibility_case(t: TrinomialTriple) -> CaseClassification:
     """Sort a coprime triple by how the exponent divides its variables.
 
     Case A: n divides none of a, b, c.  Case B: n divides exactly one,
-    reported with its exact valuation.  Two or more divisible variables
-    contradict coprimality-with-the-equation and raise.
+    reported by name.  Two or more divisible variables contradict
+    coprimality-with-the-equation and raise.
     """
     if math.gcd(t.a, t.b, t.c) != 1:
         raise PreconditionError(
             f"triple must be coprime (normalize first); gcd = {math.gcd(t.a, t.b, t.c)}"
         )
-    divisible = [
-        (name, value)
-        for name, value in (("a", t.a), ("b", t.b), ("c", t.c))
-        if value % t.n == 0
-    ]
+    divisible = [name for name, value in (("a", t.a), ("b", t.b), ("c", t.c)) if value % t.n == 0]
     if not divisible:
         return CaseClassification(kind="A")
     if len(divisible) > 1:
-        names = ", ".join(name for name, _ in divisible)
         raise InconsistentCaseError(
-            f"{t.n} divides {names}; a coprime solution triple admits at most one"
+            f"{t.n} divides {', '.join(divisible)}; a coprime solution triple admits at most one"
         )
-    name, value = divisible[0]
-    return CaseClassification(
-        kind="B", variable=name, rho=padic_valuation(value, t.n).exponent
-    )
+    return CaseClassification(kind="B", variable=divisible[0])
 
 
 def case_A_verdict(t: TrinomialTriple) -> Verdict:

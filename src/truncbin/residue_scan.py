@@ -120,26 +120,28 @@ class ScanReport(NamedTuple):
 class QuadraticScanReport(NamedTuple):
     """Zero set of (da^2 + da*db + db^2) mod n over da, db in [1, n-1].
 
-    The zero pairs are partitioned by whether da + db = n, the boundary
-    the Case-A discussion singles out.
+    rows holds, as ScanReport's does, the pair (da, cols) for each da with
+    a zero: cols is the sorted tuple of the db with the form zero mod n.
+    zero_pairs derives the flat lexicographic tuple of pairs from them.
     """
 
     n: int
-    zeros_sum_n: tuple[tuple[int, int], ...]
-    zeros_other: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
     cells_scanned: int
 
     @property
     def zero_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.zeros_sum_n + self.zeros_other))
+        return tuple([(a, b) for a, cols in self.rows for b in cols])
 
     def _payload(self, pairs) -> dict:
         """to_jsonable() with each list of pairs given as pairs(rows, size)."""
         return {
             "n": self.n,
-            "zeros_sum_n": pairs([(a, (b,)) for a, b in self.zeros_sum_n], self.n),
-            "zeros_other": pairs([(a, (b,)) for a, b in self.zeros_other], self.n),
-            "zero_count": len(self.zeros_sum_n) + len(self.zeros_other),
+            # The da + db = n boundary the Case-A discussion singles out: there
+            # db = -da and the form is da^2, prime to n, so it holds no zero.
+            "zeros_sum_n": pairs((), self.n),
+            "zeros_other": pairs(self.rows, self.n),
+            "zero_count": sum([len(cols) for _, cols in self.rows]),
             "cells_scanned": self.cells_scanned,
         }
 
@@ -318,14 +320,5 @@ def scan_quadratic(n: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Quadrat
     if (n - 1) ** 2 > cell_budget:
         raise ScanBudgetError(n - 1, 2, cell_budget)
     roots = [t for t in range(1, n) if (1 + t + t * t) % n == 0]
-    zeros_sum_n = []
-    zeros_other = []
-    for da in range(1, n):
-        for db in sorted([da * t % n for t in roots]):
-            (zeros_sum_n if da + db == n else zeros_other).append((da, db))
-    return QuadraticScanReport(
-        n=n,
-        zeros_sum_n=tuple(zeros_sum_n),
-        zeros_other=tuple(zeros_other),
-        cells_scanned=(n - 1) * (n - 1),
-    )
+    rows = [(da, cols) for da in range(1, n) if (cols := tuple(sorted([da * t % n for t in roots])))]
+    return QuadraticScanReport(n=n, rows=tuple(rows), cells_scanned=(n - 1) * (n - 1))

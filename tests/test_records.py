@@ -65,8 +65,8 @@ RECORDS = [
      "q_div_2n=True, beta=1)"),
     (ExponentProfile, dict(rho_c=1, rho_beta=0, rho_q=2), dict(rho_c=2, rho_beta=1, rho_q=5),
      "ExponentProfile(rho_c=1, rho_beta=0, rho_q=2)"),
-    (CaseClassification, dict(kind="B", variable="c", rho=2), dict(kind="A", variable=None, rho=None),
-     "CaseClassification(kind='B', variable='c', rho=2)"),
+    (CaseClassification, dict(kind="B", variable="c"), dict(kind="A", variable=None),
+     "CaseClassification(kind='B', variable='c')"),
     (CaseBReport, _CASE_B, dict(_CASE_B, u_ab_matches=False),
      "CaseBReport(a=1, b=80, c=81, n=3, rho_c=4, c0=1, rho_q=4, q0=1, rho_beta=3, beta0=1, "
      "expected=ExponentProfile(rho_c=1, rho_beta=0, rho_q=2), rho_q_matches=False, "
@@ -80,9 +80,9 @@ RECORDS = [
      dict(n=5, power_k=1, modulus=5, constraints=ScanConstraints(), rows=(), cells_scanned=25),
      "ScanReport(n=5, power_k=1, modulus=5, constraints=ScanConstraints(forbid_a_zero=False, "
      "forbid_b_zero=False, forbid_sum_zero_mod_n=False), rows=((1, (2, 3)),), cells_scanned=25)"),
-    (QuadraticScanReport, dict(n=7, zeros_sum_n=(), zeros_other=((1, 2), (1, 4)), cells_scanned=36),
-     dict(n=7, zeros_sum_n=(), zeros_other=(), cells_scanned=36),
-     "QuadraticScanReport(n=7, zeros_sum_n=(), zeros_other=((1, 2), (1, 4)), cells_scanned=36)"),
+    (QuadraticScanReport, dict(n=7, rows=((1, (2, 4)),), cells_scanned=36),
+     dict(n=7, rows=(), cells_scanned=36),
+     "QuadraticScanReport(n=7, rows=((1, (2, 4)),), cells_scanned=36)"),
     (Scale, dict(name="quick", pairs=300, triples=100, det_workers=(1, 2)),
      dict(name="quick", pairs=301, triples=100, det_workers=(1, 2)),
      "Scale(name='quick', pairs=300, triples=100, det_workers=(1, 2))"),
@@ -138,7 +138,7 @@ def test_defaults():
     assert first_claim.details == {}
     assert first_claim.details is not ClaimResult("I.1", "t", True, 1.0).details
     assert ConditionReport(True, "one-even", False).beta is None
-    assert CaseClassification("A") == CaseClassification("A", None, None)
+    assert CaseClassification("A") == CaseClassification("A", None)
     assert ScanConstraints() == ScanConstraints(False, False, False)
     assert ScanConstraints.case_a() == ScanConstraints(True, True, True)
 
@@ -157,9 +157,10 @@ def test_properties_and_methods():
     assert (report.witnesses, report.witness_count) == (((1, 2), (1, 3), (4, 0)), 3)
     assert json.loads(report.to_json()) == report.to_jsonable()
     assert report.to_jsonable()["witnesses"] == [[1, 2], [1, 3], [4, 0]]
-    quadratic = QuadraticScanReport(7, ((3, 4),), ((1, 2),), 36)
-    assert quadratic.zero_pairs == ((1, 2), (3, 4))
+    quadratic = QuadraticScanReport(7, ((1, (2, 4)), (3, (5, 6))), 36)
+    assert quadratic.zero_pairs == ((1, 2), (1, 4), (3, 5), (3, 6))
     assert json.loads(quadratic.to_json()) == quadratic.to_jsonable()
+    assert quadratic.to_jsonable()["zero_count"] == 4
     assert (QUICK.name, FULL.name, QUICK.det_workers) == ("quick", "full", (1, 2))
 
 

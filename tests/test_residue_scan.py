@@ -342,10 +342,11 @@ def test_quadratic_n3_zero_set():
 
 def test_quadratic_sum_n_pairs_never_vanish():
     # On the da + db = n boundary the form reduces to da^2 mod n, which
-    # is nonzero for da in [1, n-1]; so that partition is always empty.
-    for n in (3, 5, 7, 11, 13):
+    # is nonzero for da in [1, n-1]; so the printed zeros_sum_n is empty.
+    for n in [p for p in range(3, 100) if all(p % d for d in range(2, p))]:
         report = scan_quadratic(n)
-        assert report.zeros_sum_n == ()
+        assert not [z for z in report.zero_pairs if sum(z) == n]
+        assert report.to_jsonable()["zeros_sum_n"] == []
 
 
 def test_quadratic_n11_empty_n13_not():
@@ -362,8 +363,13 @@ def test_quadratic_matches_brute_force(n):
         if (da * da + da * db + db * db) % n == 0
     ]
     report = scan_quadratic(n)
-    assert report.zeros_sum_n == tuple(z for z in zeros if sum(z) == n)
-    assert report.zeros_other == tuple(z for z in zeros if sum(z) != n)
+    payload = report.to_jsonable()
+    assert payload["zeros_sum_n"] == [list(z) for z in zeros if sum(z) == n]
+    assert payload["zeros_other"] == [list(z) for z in sorted(zeros) if sum(z) != n]
+    assert payload["zero_count"] == len(zeros)
+    roots = [t for t in range(1, n) if (1 + t + t * t) % n == 0]
+    for da, cols in report.rows:
+        assert cols == tuple(sorted([da * t % n for t in roots]))
 
 
 def test_quadratic_budget_guard():
