@@ -289,7 +289,7 @@ def cmd_scan_u2(args):
 def cmd_scan_quadratic(args):
     report = scan_quadratic(args.n, cell_budget=args.budget)
     # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
-    return _echo(args), _scan_payload(args, report, 1), len(report.zero_pairs)
+    return _echo(args), _scan_payload(args, report, 1), report.zero_count
 
 
 def cmd_verify(args):

@@ -20,7 +20,8 @@ Verdicts are reported in two tiers.  The rule tier applies only the
 stated criterion (U(a, b) divisible by n**k with k < 2 forces
 incompatibility).  The exact tier computes every valuation outright and
 compares the two sides directly, so it can decide instances the rule
-tier leaves open.  Both tiers ride along in the verdict evidence.
+tier leaves open.  _CASE_A_TIERS is the one place the tiers, their order
+and their reasons are declared; every tier rides along in the evidence.
 """
 from __future__ import annotations
 
@@ -50,8 +51,15 @@ class VerdictKind(enum.Enum):
     TRIVIAL_ONLY = "TrivialOnly"
 
 
-# What a Case-A tier reports, by whether its comparison decides the instance.
+# The Case-A tiers in order, each (evidence key, reason, test).  A test takes
+# v_n of U(a, b), U(a+b, c) and U(a, b, c) and the left side's valuation; a
+# tier reports _TIER_KIND of whether its test decides the instance.
 _TIER_KIND = {True: VerdictKind.INCOMPATIBLE, False: VerdictKind.UNDETERMINED}
+_CASE_A_TIERS = (
+    ("rule_tier", "rule:u-ab-valuation-below-2", lambda v1, v2, v_sum, lhs: v1.exponent < 2),
+    ("exact_tier", "exact:sum-valuation-below-left-side",
+     lambda v1, v2, v_sum, lhs: v_sum.exponent < lhs),
+)
 
 
 class Verdict(_Checked, namedtuple("Verdict", "kind reason evidence")):
@@ -203,17 +211,14 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
     a, b, c to be even, so parity is not tested: an even sum has two odd
     terms or none, and three even terms would not be coprime.
 
+    The tiers run in the order of _CASE_A_TIERS; the reason is the first
+    deciding tier's, and a tier that does not decide reports Undetermined.
     Rule tier: if v_n(U(a, b)) < 2 the right side is divisible by n only
     to the first power while the left side (2*beta*n)**n carries at least
-    n of them, so the equation is incompatible; otherwise the rule is
-    silent (Undetermined).
-
-    Exact tier: computes v1 = v_n(U(a, b)), v2 = v_n(U(a+b, c)) and
-    v_sum = v_n of their sum, U(a, b, c), and compares v_sum against the
-    left-side valuation n * (1 + v_n(beta)) (beta may itself carry powers
-    of n).  Incompatible whenever v_sum falls short.  This tier decides
-    instances the rule tier leaves open and is labeled separately in the
-    evidence so the two are distinguishable.
+    n of them, so the equation is incompatible.  Exact tier: v_sum, the
+    valuation of U(a, b, c) = U(a, b) + U(a+b, c), falls short of the left
+    side's n * (1 + v_n(beta)) (beta may itself carry powers of n); it
+    decides instances the rule tier leaves open.
 
     No U is built: valuation.u3_valuations takes all three valuations from
     the residues of a^n, b^n, c^n, (a+b)^n and (a+b+c)^n mod n**K, five
@@ -230,32 +235,20 @@ def case_A_verdict(t: TrinomialTriple) -> Verdict:
             f"case-a: 2n = {2 * t.n} does not divide a+b+c = {t.s}"
         )
 
-    n = t.n
     beta = t.beta
     v1, v2, v_sum = u3_valuations(t)
-    lhs_valuation = n * (1 + padic_valuation(beta, n).exponent)
+    lhs_valuation = t.n * (1 + padic_valuation(beta, t.n).exponent)
 
-    rule_decides = v1.exponent < 2
-    exact_decides = v_sum.exponent < lhs_valuation
-    if rule_decides:
-        reason = "rule:u-ab-valuation-below-2"
-    elif exact_decides:
-        reason = "exact:sum-valuation-below-left-side"
-    else:
-        reason = "undetermined:valuations-compatible"
-    return Verdict(
-        kind=_TIER_KIND[rule_decides or exact_decides],
-        reason=reason,
-        evidence={
-            "rule_tier": _TIER_KIND[rule_decides],
-            "exact_tier": _TIER_KIND[exact_decides],
-            "v_u_ab": v1,
-            "v_u_qc": v2,
-            "v_sum": v_sum,
-            "beta": beta,
-            "lhs_valuation": lhs_valuation,
-        },
-    )
+    evidence = {}
+    reason = None
+    for key, tier_reason, decides in _CASE_A_TIERS:
+        decided = decides(v1, v2, v_sum, lhs_valuation)
+        evidence[key] = _TIER_KIND[decided]
+        if decided and reason is None:
+            reason = tier_reason
+    evidence.update(v_u_ab=v1, v_u_qc=v2, v_sum=v_sum, beta=beta, lhs_valuation=lhs_valuation)
+    kind = _TIER_KIND[reason is not None]
+    return Verdict(kind, reason or "undetermined:valuations-compatible", evidence)
 
 
 def case_B_exponents(rho_c: int, n: int) -> ExponentProfile:

@@ -122,7 +122,7 @@ class QuadraticScanReport(NamedTuple):
 
     rows holds, as ScanReport's does, the pair (da, cols) for each da with
     a zero: cols is the sorted tuple of the db with the form zero mod n.
-    zero_pairs derives the flat lexicographic tuple of pairs from them.
+    zero_pairs derives the flat lexicographic pairs, zero_count their number.
     """
 
     n: int
@@ -133,6 +133,11 @@ class QuadraticScanReport(NamedTuple):
     def zero_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple([(a, b) for a, cols in self.rows for b in cols])
 
+    @property
+    def zero_count(self) -> int:
+        """len(zero_pairs), without building them."""
+        return sum([len(cols) for _, cols in self.rows])
+
     def _payload(self, pairs) -> dict:
         """to_jsonable() with each list of pairs given as pairs(rows, size)."""
         return {
@@ -141,7 +146,7 @@ class QuadraticScanReport(NamedTuple):
             # db = -da and the form is da^2, prime to n, so it holds no zero.
             "zeros_sum_n": pairs((), self.n),
             "zeros_other": pairs(self.rows, self.n),
-            "zero_count": sum([len(cols) for _, cols in self.rows]),
+            "zero_count": self.zero_count,
             "cells_scanned": self.cells_scanned,
         }
 

@@ -7,6 +7,7 @@ these tests replace the functions the claims call with broken ones.
 run_claims draws the pair sample shared by six claims once; each claim
 run alone must still report what it reports in the whole catalog.
 """
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from truncbin import binomial_core, claims, compatibility, residue_scan, valuati
 from truncbin.claims import (
     CLAIM_CODES,
     DEFAULT_SEED,
+    FULL,
     PAIR_BOUND,
     QUICK,
     _shared_pairs,
@@ -284,3 +286,28 @@ def test_lift_failure_names_pair_exponent_and_valuation(monkeypatch):
         a = draw(rng)
     b = n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n) - a
     assert failure("II.lift") == {"failed_at": [a, b, n], "exponent": 1}
+
+
+def recorded_pairs(monkeypatch, code):
+    """The pairs claims.truncated2_direct receives while code runs at FULL scale."""
+    seen = []
+
+    def recorded(p):
+        seen.append(tuple(p))
+        return binomial_core.truncated2_direct(p)
+
+    monkeypatch.setattr(claims, "truncated2_direct", recorded)
+    assert run_claim(code, FULL).passed
+    return seen
+
+
+@pytest.mark.parametrize("code, digest", [
+    ("II.lift", "32168af948c3846dd283c4a712889391a8d54071f827e0652d59bc9d9ff45686"),
+    ("II.9", "9ae70f37bc99f1c60f2c07418eb68960f1c0c04408da2c1aa5a67385ec48fe8c"),
+], ids=["II.lift", "II.9"])
+def test_claim_samples_are_pinned(monkeypatch, code, digest):
+    # Both claims print only counts, and II.9 is EQUAL for any sample: a changed
+    # draw shows only in the pairs they evaluate.
+    seen = recorded_pairs(monkeypatch, code)
+    assert len(seen) == FULL.triples
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest

@@ -326,6 +326,20 @@ def test_scan_quadratic_text(capsys):
     assert "zero_count: 12" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_scan_quadratic_counts_its_zeros_from_the_rows(capsys, monkeypatch, fmt):
+    # --expect-empty's count is the report's zero_count: the flat pair tuple is not built.
+    def refuse(report):
+        raise AssertionError("zero_pairs built")
+
+    monkeypatch.setattr(truncbin.QuadraticScanReport, "zero_pairs", property(refuse))
+    code, _, err = run_cli(
+        capsys, "scan", "quadratic", "--n", "13", "--expect-empty", "--format", fmt
+    )
+    assert code == 4
+    assert err == "expectation violated: 24 zero pairs found\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

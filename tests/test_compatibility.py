@@ -225,40 +225,104 @@ def test_case_b_exponents_satisfy_relations():
             assert p.rho_q == n * rho_c - 1
 
 
+# The Case-A tiers' reasons in decision order: the verdict gives the first deciding one's.
+CASE_A_REASONS = ("rule:u-ab-valuation-below-2", "exact:sum-valuation-below-left-side")
+
+
 def case_a_reference(t):
-    """case_A_verdict's tiers, exponents and units on the exact path: U(a, b)
-    and U(a+b, c) built in full and divided by n."""
+    """case_A_verdict's kind, reason, tiers, exponents and units on the exact path:
+    U(a, b) and U(a+b, c) built in full and divided by n."""
     n = t.n
     u_ab, u_qc = truncated2_direct(t.pair_ab()), truncated2_direct(t.pair_qc())
     valuations = [padic_valuation(u, n) for u in (u_ab, u_qc, u_ab + u_qc)]
     lhs = n * (1 + padic_valuation(t.beta, n).exponent)
+    tiers = (valuations[0].exponent < 2, valuations[2].exponent < lhs)
+    deciding = [reason for reason, decides in zip(CASE_A_REASONS, tiers) if decides]
     return {
-        "tiers": (valuations[0].exponent < 2, valuations[2].exponent < lhs),
+        "kind": VerdictKind.INCOMPATIBLE if deciding else VerdictKind.UNDETERMINED,
+        "reason": (deciding + ["undetermined:valuations-compatible"])[0],
+        "tiers": tiers,
         "valuations": [(v.exponent, 0 if v.is_infinite else v.cofactor % n) for v in valuations],
         "lhs_valuation": lhs,
     }
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 13, 101])
-def test_case_a_verdict_matches_the_exact_path(n):
-    # The catalog's II.A sampler; at n = 7 every third triple has 7 | a^2 + ab + b^2,
-    # and (1, 2, 1415372820201) solves the equation mod 7^14, so v_sum = lhs.
-    rng = random.Random(f"case-a-oracle:{n}")
-    residues = scan_quadratic(7).zero_pairs if n == 7 else None
-    triples = [_sample_case_a_triple(rng, n, residues if i % 3 == 0 else None) for i in range(100)]
-    if n == 7:
-        triples.append(TrinomialTriple(1, 2, 1415372820201, 7))
-    for t in triples:
+def lifted_case_a_triple(a, b, n, digits):
+    """A Case-A (a, b, c) with n^digits | a^n + b^n + c^n, for a coprime (a, b) with
+    n^2 | U(a, b) and n prime to a, b and a + b.
+
+    c starts at -(a + b) mod n, where c^n = -(a^n + b^n) mod n^2 already, and each
+    step fixes c^n one n-adic digit further: (c + d n^k)^n = c^n + d n^(k+1) mod
+    n^(k+2), as c^(n-1) = 1 mod n.  Adding n^digits when a + b + c is odd keeps c^n
+    mod n^(digits+1) and makes 2n | a + b + c.  Then U(a, b, c) = (a+b+c)^n -
+    (a^n + b^n + c^n) has valuation at least min(digits, lhs), so from digits = lhs
+    on the exact tier is silent too.
+    """
+    target = -(a**n + b**n)
+    c = -(a + b) % n
+    for k in range(1, digits - 1):
+        modulus = n ** (k + 2)
+        c += (target - pow(c, n, modulus)) % modulus // n ** (k + 1) * n**k
+    if (a + b + c) % 2:
+        c += n**digits
+    t = TrinomialTriple(a, b, c, n)
+    assert (a**n + b**n + c**n) % n**digits == 0 and classify_divisibility_case(t).kind == "A"
+    return t
+
+
+def case_a_oracle_triples(family):
+    """The triples of one oracle family.  An int is the catalog's II.A sampler at
+    that n: at n = 7 every third triple has 7 | a^2 + ab + b^2.  The other two keep
+    the rule tier silent, where the two tiers can disagree.  "n59-u-3u" draws
+    (a, b) = (u, 3u) mod 59, where v_59(U(a, b)) >= 2 and the exact tier decides.
+    "lifted" builds triples with lifted_case_a_triple that reach v_sum = lhs."""
+    if family == "n59-u-3u":
+        rng = random.Random("case-a-oracle:n59-u-3u")
+        residues = [(u, 3 * u % 59) for u in range(1, 59)]
+        return [_sample_case_a_triple(rng, 59, residues) for _ in range(40)]
+    if family == "lifted":
+        return ([lifted_case_a_triple(a, b, 7, digits) for a, b in ((1, 2), (1, 4))
+                 for digits in range(2, 19)]
+                + [lifted_case_a_triple(1, 3, 59, digits) for digits in (2, 30, 58, 59, 69)])
+    rng = random.Random(f"case-a-oracle:{family}")
+    residues = scan_quadratic(7).zero_pairs if family == 7 else None
+    return [_sample_case_a_triple(rng, family, residues if i % 3 == 0 else None)
+            for i in range(100)]
+
+
+@pytest.mark.parametrize("family", [3, 5, 7, 13, 101, "n59-u-3u", "lifted"])
+def test_case_a_verdict_matches_the_exact_path(family):
+    kinds = set()
+    for t in case_a_oracle_triples(family):
         v = case_A_verdict(t)
         tiers = (v.evidence["rule_tier"], v.evidence["exact_tier"])
         seen = {
+            "kind": v.kind,
+            "reason": v.reason,
             "tiers": tuple(tier is VerdictKind.INCOMPATIBLE for tier in tiers),
             "valuations": [(v.evidence[key].exponent, v.evidence[key].unit)
                            for key in ("v_u_ab", "v_u_qc", "v_sum")],
             "lhs_valuation": v.evidence["lhs_valuation"],
         }
-        assert seen == case_a_reference(t), (t.a, t.b, t.c)
-        assert (v.kind is VerdictKind.INCOMPATIBLE) == any(seen["tiers"])
+        assert seen == case_a_reference(t), (t.a, t.b, t.c, t.n)
+        if isinstance(family, str):
+            assert not seen["tiers"][0], (t.a, t.b, t.c, t.n)
+        kinds.add(v.kind)
+    if family == "lifted":
+        assert kinds == {VerdictKind.INCOMPATIBLE, VerdictKind.UNDETERMINED}
+
+
+def test_lifted_case_a_triple_rebuilds_the_pinned_blind_spot():
+    # (1, 2, 1415372820201) at n = 7 solves the equation mod 7^14: v_sum = lhs = 14.
+    t = lifted_case_a_triple(1, 2, 7, 16)
+    assert t.c == 1415372820201
+    v = case_A_verdict(t)
+    assert v.kind is VerdictKind.UNDETERMINED
+    assert v.evidence["v_sum"].exponent == v.evidence["lhs_valuation"] == 14
+    t = lifted_case_a_triple(1, 3, 59, 69)
+    v = case_A_verdict(t)
+    assert (v.kind, v.evidence["v_u_ab"].exponent) == (VerdictKind.UNDETERMINED, 2)
+    assert v.evidence["v_sum"].exponent == v.evidence["lhs_valuation"] == 59
 
 
 def test_no_verdict_builds_u():
