@@ -140,6 +140,9 @@ CASES = [
     [*_U2, "--n", "13", "--k", "2", "--budget", "100", "--format", "json"],
     [*_U2, "--n", "3", "--k", "1", "--budget", "0", "--expect-empty"],
     [*_U2, "--n", "13", "--k", "2", "--budget", "28561", "--case-a", "--expect-empty"],
+    # 1013^4 cells and no Case-A witness: the decided period has no row to tile.
+    [*_U2, "--n", "1013", "--k", "2", "--case-a", "--expect-empty", "--budget", "1100000000000",
+     "--format", "json"],
     [*_U2, "--n", "7", "--k", "0"],
     [*_U2, "--n", "7"],
     # scan quadratic
