@@ -1,19 +1,19 @@
 """Batch command-line frontend.
 
-Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check),
-scan (u2|quadratic), verify, declared in one table, _COMMANDS.  main
-builds only the parsers its argv names: the four commands with their
-help, and a group's subcommands or a command's options only where argv
-holds that name.  argparse prints only from the parsers on argv's path,
-all built whole, so usage, help and errors keep their bytes.  Every run
-emits one report envelope (command, echoed inputs, result, timing) as
-text or JSON; scans can also emit their witnesses as CSV.  Every report goes to stdout through
-one writer as it is rendered: JSON from residue_scan._dump, and the pairs
-of JSON, CSV and text from one row renderer, residue_scan._write_rows, a
-write per row, so no report is held whole.  It renders each column tile
-that several scan rows share once and writes each of those rows as one
-join of its pieces.  tests/test_cli_golden.py and perfbench/goldens.json
-pin their bytes.
+Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check), scan
+(u2|quadratic), verify, declared in one table, _COMMANDS.  main builds
+only the parsers its argv names: the four commands with their help, and
+a parser's -h, a group's subcommands or a command's options only where
+argv holds that name.  argparse prints only from the parsers on argv's
+path, all built whole, so usage, help and errors keep their bytes.
+Every run emits one report envelope (command, echoed inputs, result,
+timing) as text or JSON; scans can also emit their witnesses as CSV.
+Every report goes to stdout through one writer as it is rendered: JSON
+from residue_scan._dump, and the pairs of JSON, CSV and text from one
+row renderer, residue_scan._write_rows, a write per row, so no report is
+held whole.  It renders each column tile that several scan rows share
+once and writes each of those rows as one join of its pieces.
+tests/test_cli_golden.py and perfbench/goldens.json pin their bytes.
 
 Exit codes are part of the contract:
     0  success (an Incompatible verdict is a result, not an error)
@@ -377,10 +377,10 @@ _COMMANDS = (
 
 
 def _add_commands(subparsers, table, named):
-    """Add the commands of table to subparsers, each with its help; build a
-    group's subcommands and a command's options only if its name is in named."""
+    """Add the commands of table to subparsers, each with its help; give a
+    command its -h, options or subcommands only if its name is in named."""
     for name, help, *spec in table:
-        parser = subparsers.add_parser(name, help=help)
+        parser = subparsers.add_parser(name, help=help, add_help=name in named)
         if name not in named:
             continue
         if type(spec[0]) is tuple:  # a group

@@ -11,9 +11,9 @@ For k >= 2, x**n mod n**k depends only on x mod P = n**(k-1) (expand
 U is homogeneous of degree n and u**n is a unit for u prime to n, so row
 u*p of the P x P period, p a power of n, is row p with column y moved to
 u*y mod P: only rows 0, 1, n, ..., n**(k-2) are checked cell by cell, on a
-table of x**n for x < P, in one process.  Row a0 of the period is tiled
-to n**k columns once, q + r for q in range(0, n**k, P), and shared by the
-rows a = a0 (mod P).  cells_scanned counts grid cells.
+table of x**n for x < P, in one process.  Only a row a0 with a witness is
+tiled, once, to n**k columns shared by the rows a = a0 (mod P), so an empty
+grid costs its period decision alone.  cells_scanned counts grid cells.
 
 A report stores the rows the scan computes, (a, cols) for each row with
 a witness, not one pair per witness; the flat witnesses are derived from
@@ -207,13 +207,17 @@ def _dump(value, write, indent: str = "") -> None:
     A scan report is written as its _payload(_PairRows) dict, whose pair
     lists _write_rows writes straight from the rows, one write per row:
     with indent set, json runs its pure-Python encoder, some ten chunks per
-    pair.  Dicts with str keys are walked, one write per member; every other
-    value is json.dumps's own text.  Only values computed before the first
+    pair.  Dicts with str keys are walked, one write per member.  A value of
+    type exactly str, int, float or bool, or None, is json's C encoder's text,
+    the same bytes; any other value, records and list subclasses too, is
+    json.dumps(value, indent=2).  Only values computed before the first
     write reach write, so a value that cannot be rendered (an int past the
     interpreter's int-to-str limit) fails before any byte goes out.
     """
     inner = indent + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    if value is None or type(value) in (str, int, float, bool):
+        write(json.dumps(value))
+    elif type(value) is dict and value and all(type(key) is str for key in value):
         lead = "{\n"
         for key, item in value.items():
             write(f"{lead}{inner}{json.dumps(key)}: ")
@@ -293,15 +297,16 @@ def scan_divisibility(
     # stated mod n and u is a unit there, so both rows allow as many cells.
     # p = n**j for j < max(k, 2); p = P = gcd(0, P) stands for row 0.
     base = {n**j: checked_row(n**j % period) for j in range(max(k, 2))}
-    tiles = []
+    tiles = {}  # a0 -> the columns of every row a = a0 (mod P), for a0 with a witness
     cells = 0
-    for a in range(period):
-        p = math.gcd(a, period)
+    for a0 in range(period):
+        p = math.gcd(a0, period)
         count, ratios = base[p]
         cells += count
-        ratios = sorted([(a // p or 1) * y % period for y in ratios])
-        tiles.append(tuple([q + r for q in range(0, m, period) for r in ratios]))
-    rows = [(a, cols) for a in range(m) if (cols := tiles[a % period])]
+        if ratios:
+            ratios = sorted([(a0 // p or 1) * y % period for y in ratios])
+            tiles[a0] = tuple([q + r for q in range(0, m, period) for r in ratios])
+    rows = [(q + a0, tile) for q in range(0, m, period) for a0, tile in tiles.items()]
 
     return ScanReport(
         n=n,

@@ -257,6 +257,21 @@ def test_rows_one_period_apart_carry_equal_columns(n):
             assert rows.get(a) == rows.get(a + n**2), (flags, a)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 5, 7) for k in (2, 3)])
+def test_rows_one_period_apart_share_one_cols_object(n, k):
+    # _write_rows renders a tile once per cols object: a kernel that copied
+    # the tile per row would print the same bytes, but slower.
+    m, period = n**k, n ** (k - 1)
+    shared = 0
+    for flags in itertools.product((False, True), repeat=3):
+        rows = dict(scan_divisibility(n, k, ScanConstraints(*flags)).rows)
+        for a, cols in rows.items():
+            if a + period < m:
+                assert rows[a + period] is cols, (flags, a)
+                shared += 1
+    assert shared
+
+
 def test_equal_scans_compare_equal_and_hash_alike():
     case_a = ScanConstraints.case_a()
     for n, k, constraints in ((7, 2, case_a), (5, 2, None), (11, 2, case_a)):
@@ -427,11 +442,18 @@ def _random_value(rng, depth):
     return {key: _random_value(rng, depth - 1) for key in keys}
 
 
+class _PairList(list):
+    """A list subclass: json writes it as a list, indented."""
+
+
 @pytest.mark.parametrize("value", [
     {}, [], [[]], [[1, 2]], [[-1, 10**4000]], [[True, 1]], [[1, False]], [[1, 2, 3]],
     [[1]], [(1, 2)], ((1, 2),), [[[1, 2]]], [[1, 2], [3, 4.0]], [[1, 2], None],
     {"witnesses": [[1, 2], [3, 4]], "empty": [], "nested": {"zeros": [[0, 0]]}},
     {"\u0000": [[1, 2]], 3: [[4, 5]]}, {"a": {}, "b": {"c": [[6, 7]]}},
+    # Records and list subclasses: not exactly a scalar, list or dict, so indented.
+    ScanConstraints.case_a(), _PairList([[1, 2], [3, 4]]), _PairList(),
+    {"constraints": ScanConstraints(True, False, True), "pairs": _PairList([[5, 6]])},
 ])
 def test_dumps_matches_json_on_edge_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2)
