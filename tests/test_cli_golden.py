@@ -195,6 +195,16 @@ CASES = [
     ["--bogus", "compute", *_PAIR, "--n", "3"],
     [*_EQ3, "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--bogus"],
     ["compute", *_PAIR, "--n", "3", "verify"],
+    # Words a command's own options leave over, refuse or accept: an unknown
+    # option, a stray word, an ambiguous and two accepted abbreviations, words
+    # after "--", and a command's name given as an option's value.
+    [*_U2, "--n", "5", "--k", "2", "--bogus"],
+    [*_U2, "--n", "5", "--k", "2", "extra"],
+    [*_QUAD, "--n", "7", "--bogus"],
+    [*_U2, "--n", "5", "--k", "2", "--forbid"],
+    [*_U2, "--n", "5", "--k", "2", "--case", "--expect", "--format", "json"],
+    [*_U2, "--n", "5", "--", "--k", "2"],
+    ["verify", "--claim", "scan", "--quick"],
 ]
 
 
