@@ -1,11 +1,11 @@
 """Batch command-line frontend.
 
 Subcommands: compute, verdict (eq2|eq3|exponents|case-b-check), scan
-(u2|quadratic), verify, declared in one table, _COMMANDS.  main builds
-only the parsers its argv names: the four commands with their help, and
-a parser's -h, a group's subcommands or a command's options only where
-argv holds that name.  argparse prints only from the parsers on argv's
-path, all built whole, so usage, help and errors keep their bytes.
+(u2|quadratic), verify, declared in one table, _COMMANDS.  When argv
+starts with a command's full name, main parses the words after it with
+that command's parser alone, built as argparse's tree builds it.  Any
+other argv, and a word that parser leaves over, goes to the whole tree,
+so help, usage lines and errors keep the tree's bytes.
 Every run emits one report envelope (command, echoed inputs, result,
 timing) as text or JSON; scans can also emit their witnesses as CSV.
 Every report goes to stdout through one writer as it is rendered: JSON
@@ -376,33 +376,48 @@ _COMMANDS = (
 )
 
 
-def _add_commands(subparsers, table, named):
-    """Add the commands of table to subparsers, each with its help; give a
-    command its -h, options or subcommands only if its name is in named."""
+def _add_commands(subparsers, table):
+    """Add the commands of table to subparsers, each whole: its help, its -h
+    and its options or subcommands.  Only help and errors need this tree."""
     for name, help, *spec in table:
-        parser = subparsers.add_parser(name, help=help, add_help=name in named)
-        if name not in named:
-            continue
+        parser = subparsers.add_parser(name, help=help)
         if type(spec[0]) is tuple:  # a group
-            _add_commands(parser.add_subparsers(dest="which", required=True), spec[0], named)
+            _add_commands(parser.add_subparsers(dest="which", required=True), spec[0])
         else:
             _command(parser, *spec)
 
 
-def build_parser(argv=None):
-    """The parser for argv (None: sys.argv[1:]), built only as far as argv
-    reaches, as the module docstring says."""
+def _tree():
     parser = argparse.ArgumentParser(
-        prog="truncbin",
-        description="Exact divisibility analysis of truncated Newton binomials.",
-    )
-    named = set(sys.argv[1:] if argv is None else argv)
-    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, named)
+        prog="truncbin", description="Exact divisibility analysis of truncated Newton binomials.")
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS)
     return parser
 
 
+def build_parser(argv=None):
+    """The parser for argv (None: sys.argv[1:]): if argv starts with a command's
+    name, that command's own parser (prog "truncbin scan u2"), else the tree."""
+    table, path = _COMMANDS, ["truncbin"]
+    for word in sys.argv[1:] if argv is None else argv:
+        spec = next((spec for name, _, *spec in table if name == word), None)
+        if spec is None:
+            break
+        path.append(word)
+        if type(spec[0]) is not tuple:  # a command, not a group
+            parser = argparse.ArgumentParser(prog=" ".join(path))
+            _command(parser, *spec)
+            return parser
+        table = spec[0]
+    return _tree()
+
+
 def main(argv=None) -> int:
-    args = build_parser(argv).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
+    words = parser.prog.count(" ")  # the command's name, which its own parser skips
+    args, extra = parser.parse_known_args(argv[words:])
+    if extra:  # the tree's root refuses them, with its usage line
+        (_tree() if words else parser).parse_args(argv)
     started = time.perf_counter()
     try:
         inputs, payload, found = args.func(args)

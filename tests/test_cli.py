@@ -3,6 +3,7 @@
 Exit codes: 0 ok, 1 verify failure, 2 parse/validation, 3 precondition,
 4 expectation violated, 5 budget exceeded, 141 stdout closed early.
 """
+import argparse
 import csv
 import hashlib
 import io
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -420,11 +422,12 @@ def test_main_after_a_parse_failure_gives_the_golden_bytes():
 
 
 # ---------------------------------------------------------------------------
-# the parser main builds: only what its argv names
+# the parser main builds: a command's own parser alone, or the whole tree
 
 @pytest.mark.parametrize("argv", [
     ["verdict", "eq3", "--a", "1", "--b", "2", "--c", "11", "--n", "7", "--format", "json"],
     ["scan", "-h"],
+    ["scan", "u2", "--n", "5", "--k", "2", "--bogus"],
 ])
 def test_main_without_argv_reads_sys_argv(argv, monkeypatch):
     import test_cli_golden
@@ -436,14 +439,62 @@ def test_main_without_argv_reads_sys_argv(argv, monkeypatch):
 
 
 def test_a_parser_built_for_one_command_refuses_another(capsys):
+    # A command's own parser reads the words after the command's name.
     scan = ["scan", "u2", "--n", "5", "--k", "2"]
-    args = build_parser(scan).parse_args(scan)
+    parser = build_parser(scan)
+    assert parser.prog == "truncbin scan u2"
+    args = parser.parse_args(scan[2:])
     assert (args.name, args.n, args.k) == ("scan u2", 5, 2)
     parser = build_parser(["compute", "--a", "1", "--b", "1", "--n", "3"])
+    assert parser.prog == "truncbin compute"
     with pytest.raises(SystemExit) as excinfo:
-        parser.parse_args(scan)
+        parser.parse_args(["--a", "1", "--b", "1", *scan[2:]])
     assert excinfo.value.code == 2
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: u2 --n 5 --k 2\n")
+    assert capsys.readouterr().err.endswith("truncbin compute: error: unrecognized arguments: --k 2\n")
+
+
+# The root, its 4 commands, and the 4 subcommands of verdict and 2 of scan.
+_TREE = 11
+
+_EVERY_COMMAND = [
+    ["compute", "--a", "1", "--b", "1", "--n", "3"],
+    ["verdict", "eq2", "--a", "1", "--b", "1", "--n", "3"],
+    ["verdict", "eq3", "--a", "1", "--b", "2", "--c", "11", "--n", "7"],
+    ["verdict", "exponents", "--rho-c", "1", "--n", "5"],
+    ["verdict", "case-b-check", "--a", "1", "--b", "80", "--c", "81", "--n", "3"],
+    ["scan", "u2", "--n", "5", "--k", "2"],
+    ["scan", "quadratic", "--n", "7"],
+    ["verify", "--claim", "II.12"],
+]
+
+
+def _parsers_built(argv):
+    """How many ArgumentParsers one main(argv) call constructs, and its exit code."""
+    from test_cli_golden import run
+
+    init = argparse.ArgumentParser.__init__
+    with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True, side_effect=init) as built:
+        code = run(argv)["exit"]
+    return built.call_count, code
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=" ".join)
+def test_a_command_is_parsed_by_its_own_parser_alone(argv):
+    assert _parsers_built(argv) == (1, 0)
+    # An error inside the command's options: its own parser refuses it.
+    assert _parsers_built([*argv, "--format", "xml"]) == (1, 2)
+
+
+@pytest.mark.parametrize("argv, built, code", [
+    (["-h"], _TREE, 0),
+    (["scan", "-h"], _TREE, 0),
+    (["scan", "eq3"], _TREE, 2),
+    (["--bogus", "compute", "--a", "1", "--b", "1", "--n", "3"], _TREE, 2),
+    # A stray word: the command's own parser leaves it over, the tree's root refuses it.
+    (["compute", "--a", "1", "--b", "1", "--n", "3", "verify"], 1 + _TREE, 2),
+], ids=lambda value: " ".join(value) if type(value) is list else None)
+def test_help_at_the_root_or_a_group_and_stray_words_build_the_whole_tree(argv, built, code):
+    assert _parsers_built(argv) == (built, code)
 
 
 # ---------------------------------------------------------------------------
