@@ -143,6 +143,9 @@ CASES = [
     # 1013^4 cells and no Case-A witness: the decided period has no row to tile.
     [*_U2, "--n", "1013", "--k", "2", "--case-a", "--expect-empty", "--budget", "1100000000000",
      "--format", "json"],
+    # CSV from the payload's pair lists: none (a header only), and k = 3 in every row.
+    [*_U2, "--n", "11", "--k", "2", "--case-a", "--format", "csv"],
+    [*_U2, "--n", "3", "--k", "3", "--forbid-sum", "--format", "csv"],
     [*_U2, "--n", "7", "--k", "0"],
     [*_U2, "--n", "7"],
     # scan quadratic
@@ -159,6 +162,9 @@ CASES = [
     # (7 - 1)^2 = 36 cells: one below the grid, then the grid itself.
     [*_QUAD, "--n", "7", "--budget", "35"],
     [*_QUAD, "--n", "7", "--budget", "36"],
+    # CSV rows from zeros_other alone, k = 1; a refused budget prints no header.
+    [*_QUAD, "--n", "13", "--format", "csv"],
+    [*_QUAD, "--n", "7", "--budget", "35", "--format", "csv"],
     # verify
     ["verify"],
     ["verify", "--quick", "--format", "json"],
