@@ -6,13 +6,15 @@ starts with a command's full name, main parses the words after it with
 that command's parser alone, built as argparse's tree builds it.  Any
 other argv, and a word that parser leaves over, goes to the whole tree,
 so help, usage lines and errors keep the tree's bytes.
-Every run emits one report envelope (command, echoed inputs, result,
-timing) as text or JSON; scans can also emit their witnesses as CSV.
-Every report goes to stdout through one writer as it is rendered: JSON
-from residue_scan._dump, and the pairs of JSON, CSV and text from one
-row renderer, residue_scan._write_rows, a write per row, so no report is
-held whole.  It renders each column tile that several scan rows share
-once and writes each of those rows as one join of its pieces.
+Every command returns its echoed inputs and one payload.  Every format
+prints that payload, a report envelope (command, inputs, result, timing)
+as text or JSON and a scan's pairs as CSV, and main reads exit codes
+from it.  Every report goes to stdout through one writer as it is
+rendered: JSON from residue_scan._dump, and the pairs of JSON, CSV and
+text from one row renderer, residue_scan._write_rows, a write per row,
+so no report is held whole.  It renders each column tile that several
+scan rows share once and writes each of those rows as one join of its
+pieces.
 tests/test_cli_golden.py and perfbench/goldens.json pin their bytes.
 
 Exit codes are part of the contract:
@@ -84,8 +86,8 @@ _ERROR_EXITS = {
 }
 
 FORMATS = ["text", "json"]
-# What --expect-empty counts, by scan.
-_FOUND = {"scan u2": "witnesses", "scan quadratic": "zero pairs"}
+# What --expect-empty counts, by scan: the payload's count key, and its noun.
+_FOUND = {"scan u2": ("witness_count", "witnesses"), "scan quadratic": ("zero_count", "zero pairs")}
 
 
 # Report keys whose ints, and the ints nested under them, are of unbounded
@@ -179,8 +181,12 @@ def _emit(args, inputs, payload, seconds):
         }
         _dump(envelope, write)
         write("\n")
-    elif args.format == "csv":
-        payload(write)
+    elif args.format == "csv":  # the quadratic scan works mod n itself, hence k = 1
+        head = f"{payload['n']},{payload.get('power_k', 1)},%d,"
+        write("n,k,a_res,b_res\r\n")
+        for value in payload.values():
+            if type(value) is _PairRows:
+                _write_rows(value.rows, head, "", "\r\n", value.size, write)
     elif args.name == "verify":
         _write_claims(write, payload, timing_ms)
     else:
@@ -201,8 +207,8 @@ def _normalized_triple(args):
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns the echoed inputs, the result payload and, for
-# scans, the number of pairs found (else None); main prints them.
+# commands: each returns the echoed inputs and the result payload; main
+# prints the payload in every format and reads its exit code there.
 
 def cmd_compute(args):
     if args.c is not None and args.all_forms:
@@ -216,7 +222,7 @@ def cmd_compute(args):
         payload = {"u": u}
         if args.all_forms:
             payload["forms"] = {"direct": u, **dict(zip(SERIES_FORMS, _series_forms(p)))}
-    return _echo(args), payload, None
+    return _echo(args), payload
 
 
 def cmd_verdict_eq2(args):
@@ -224,13 +230,13 @@ def cmd_verdict_eq2(args):
     payload = binomial_equation_verdict(pair)._asdict()
     if (args.a, args.b) != (0, 0):
         payload["conditions"] = necessary_conditions_2(pair)
-    return _echo(args), payload, None
+    return _echo(args), payload
 
 
 def cmd_verdict_eq3(args):
     t, g = _normalized_triple(args)
     payload = {**case_A_verdict(t)._asdict(), "normalized": [t.a, t.b, t.c], "gcd_removed": g}
-    return _echo(args), payload, None
+    return _echo(args), payload
 
 
 def cmd_verdict_exponents(args):
@@ -239,7 +245,7 @@ def cmd_verdict_exponents(args):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and profile.rho_q >= 10**limit:  # rho_q is the largest exponent
         raise DomainError(f"rho_q = n*rho_c - 1 has more than {limit} digits, too many to print")
-    return _echo(args), profile, None
+    return _echo(args), profile
 
 
 def cmd_verdict_case_b_check(args):
@@ -249,22 +255,7 @@ def cmd_verdict_case_b_check(args):
     relabeled = {key: report.pop(key) for key in ("a", "b", "c")}
     observed = {key: report.pop(key) for key in ("rho_c", "c0", "rho_q", "q0", "rho_beta", "beta0")}
     payload = {"relabeled": relabeled, "gcd_removed": g, "observed": observed, **report}
-    return _echo(args), payload, None
-
-
-def _scan_payload(args, report, k):
-    """What a scan prints: for CSV, a function that writes the header and
-    the report's rows (a, cols), every column in range(n**k); else the
-    report's dict with its pair lists held as _PairRows, which _dump
-    writes as JSON and the text form as list reprs."""
-    if args.format != "csv":
-        return report._payload(_PairRows)
-
-    def write_csv(write):
-        write("n,k,a_res,b_res\r\n")
-        _write_rows(report.rows, f"{report.n},{k},%d,", "", "\r\n", report.n**k, write)
-
-    return write_csv
+    return _echo(args), payload
 
 
 def cmd_scan_u2(args):
@@ -283,13 +274,11 @@ def cmd_scan_u2(args):
         expect_empty=args.expect_empty,
     )
     report = scan_divisibility(args.n, args.k, constraints, cell_budget=args.budget)
-    return inputs, _scan_payload(args, report, report.power_k), report.witness_count
+    return inputs, report._payload(_PairRows)
 
 
 def cmd_scan_quadratic(args):
-    report = scan_quadratic(args.n, cell_budget=args.budget)
-    # The quadratic scan works mod n itself, hence k = 1 in the CSV rows.
-    return _echo(args), _scan_payload(args, report, 1), report.zero_count
+    return _echo(args), scan_quadratic(args.n, cell_budget=args.budget)._payload(_PairRows)
 
 
 def cmd_verify(args):
@@ -302,7 +291,7 @@ def cmd_verify(args):
             dict(r._asdict(), duration_ms=round(r.duration_ms, 3)) for r in results
         ],
     }
-    return inputs, payload, None
+    return inputs, payload
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +409,7 @@ def main(argv=None) -> int:
         (_tree() if words else parser).parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, payload, found = args.func(args)
+        inputs, payload = args.func(args)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
@@ -433,8 +422,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     if args.name == "verify" and not payload["all_passed"]:
         return EXIT_VERIFY_FAILED
-    if getattr(args, "expect_empty", False) and found:
-        print(f"expectation violated: {found} {_FOUND[args.name]} found", file=sys.stderr)
+    if getattr(args, "expect_empty", False) and payload[_FOUND[args.name][0]]:
+        key, noun = _FOUND[args.name]
+        print(f"expectation violated: {payload[key]} {noun} found", file=sys.stderr)
         return EXIT_EXPECTATION
     return EXIT_OK
 

@@ -18,8 +18,9 @@ from unittest import mock
 import pytest
 
 import truncbin
-from truncbin import ScanConstraints, scan_divisibility
+from truncbin import ScanConstraints, cli, scan_divisibility, scan_quadratic
 from truncbin.cli import EXIT_BROKEN_PIPE, build_parser, main
+from truncbin.residue_scan import _PairRows
 
 PERFBENCH_GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens.json"
 
@@ -340,6 +341,25 @@ def test_scan_quadratic_counts_its_zeros_from_the_rows(capsys, monkeypatch, fmt)
     )
     assert code == 4
     assert err == "expectation violated: 24 zero pairs found\n"
+
+
+_SCANS = [
+    (["scan", "u2", "--n", "7", "--k", "2", "--case-a"],
+     lambda: scan_divisibility(7, 2, ScanConstraints.case_a())),
+    (["scan", "quadratic", "--n", "7"], lambda: scan_quadratic(7)),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, scan", _SCANS, ids=[" ".join(argv) for argv, _ in _SCANS])
+def test_every_format_prints_the_one_payload_a_scan_returns(capsys, argv, scan, fmt):
+    # CSV too is written from the report's dict with its pair lists as _PairRows.
+    with mock.patch.object(cli, "_emit", wraps=cli._emit) as emit:
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    payload = emit.call_args.args[2]
+    assert not callable(payload)
+    assert type(payload) is dict and payload == scan()._payload(_PairRows)
 
 
 # ---------------------------------------------------------------------------
