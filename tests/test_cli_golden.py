@@ -48,6 +48,24 @@ _CASE_B = ["verdict", "case-b-check"]
 _U2 = ["scan", "u2"]
 _QUAD = ["scan", "quadratic"]
 
+
+def _wieferich_a(n, k=4):
+    """The even a = -x (mod n^k) with x^n = 2 (mod n^k), for a Wieferich prime n.
+
+    x = 2 mod n, and x^n mod n^2 is then 2^n mod n^2, which is 2 exactly at a
+    Wieferich prime.  Each further digit of x, d * n^(e-2), moves x^n mod n^e
+    by d * n^(e-1) * x^(n-1), so one d in range(n) lifts the root to n^e.
+    With b = c = 1, 2n divides a + b + c = a + 2 and n^k divides a^n + b^n + c^n.
+    """
+    x, m = 2, n**k
+    assert pow(x, n, n * n) == 2
+    for e in range(3, k + 1):
+        step, mod = n ** (e - 2), n**e
+        x = next(x + d * step for d in range(n) if pow(x + d * step, n, mod) == 2)
+    a = -x % m
+    return a + m if a % 2 else a
+
+
 CASES = [
     # compute
     ["compute", *_PAIR, "--n", "3"],
@@ -99,6 +117,11 @@ CASES = [
     # v_59(U(1, 3)) = 2 exactly: the rule tier's v < 2 is silent, the exact tier decides.
     [*_EQ3, "--a", "1", "--b", "3", "--c", "114", "--n", "59"],
     [*_EQ3, "--a", "1", "--b", "3", "--c", "114", "--n", "59", "--format", "json"],
+    # b = c at the Wieferich prime 1093, a = 1426309230766: v_1093(U(a, 1)) = 2, so the
+    # rule tier is silent, and the exact tier decides on v_sum = 4.
+    [*_EQ3, "--a", str(_wieferich_a(1093)), "--b", "1", "--c", "1", "--n", "1093"],
+    [*_EQ3, "--a", str(_wieferich_a(1093)), "--b", "1", "--c", "1", "--n", "1093",
+     "--format", "json"],
     # verdict exponents
     ["verdict", "exponents", "--rho-c", "1", "--n", "5"],
     ["verdict", "exponents", "--rho-c", "3", "--n", "7", "--format", "json"],
@@ -302,6 +325,21 @@ def _text(name, payload):
     return "\n".join(lines + ["# elapsed: <t> ms", ""])
 
 
+def assert_same_text(got, expected):
+    """Fail unless got == expected, naming only the first line where they differ.
+
+    A plain assert on two long reports makes pytest build a diff of every
+    line, which can take minutes; this check is exactly as strict.
+    """
+    if got == expected:
+        return
+    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
+    pairs = zip(got_lines + [None], expected_lines + [None])
+    line, (g, e) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+    pytest.fail(f"line {line + 1} differs: got {g!r}, expected {e!r} "
+                f"({len(got_lines)} lines printed, {len(expected_lines)} expected)", pytrace=False)
+
+
 _TILE = (2, 9, 40)
 _ONE = (6,)
 
@@ -339,13 +377,13 @@ def test_scan_output_matches_stdlib_encoders(argv, inputs, report, rows, patched
     payload = report.to_jsonable()
     envelope = {"command": " ".join(argv[:2]), "inputs": inputs, "result": payload,
                 "timing_ms": 0.0}
-    assert printed["json"] == mask(json.dumps(envelope, indent=2) + "\n")
+    assert_same_text(printed["json"], mask(json.dumps(envelope, indent=2) + "\n"))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "k", "a_res", "b_res"])
     writer.writerows(rows)
-    assert printed["csv"] == out.getvalue()
-    assert printed["text"] == _text(" ".join(argv[:2]), payload)
+    assert_same_text(printed["csv"], out.getvalue())
+    assert_same_text(printed["text"], _text(" ".join(argv[:2]), payload))
     for key in ("witnesses", "zeros_sum_n", "zeros_other"):
         if payload.get(key) == []:
             assert f'"{key}": []' in printed["json"]

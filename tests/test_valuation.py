@@ -198,6 +198,28 @@ def test_u3_valuations_on_case_b_triples_at_depth():
             assert got[1][0] >= 2 * n
 
 
+EQUAL_ENTRY_FAMILIES = {
+    "(a, b, b)": lambda x, y: (x, y, y),
+    "(a, a, c)": lambda x, y: (x, x, y),
+    "(a, b, -a)": lambda x, y: (x, y, -x),
+    "(a, b, -b)": lambda x, y: (x, y, -y),
+}
+
+
+@pytest.mark.parametrize("family", EQUAL_ENTRY_FAMILIES)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_u3_valuations_with_two_entries_equal_up_to_sign(n, family):
+    # Two entries equal or opposite make a factor of U(a, b, c) = 0 when they
+    # cancel, b + c = 0 or a + c = 0, and not when they are equal: a zero flag
+    # that tests b - c in place of b + c reads (a, b, b) as U = 0.
+    build = EQUAL_ENTRY_FAMILIES[family]
+    box = range(-12, 13)
+    for x in box:
+        for y in box:
+            a, b, c = build(x, y)
+            assert residue_valuations(a, b, c, n) == built_valuations(a, b, c, n), (a, b, c)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_u3_valuations_on_every_tiny_triple(n):
     # Every triple of tiny operands, zeros and cancellations included, where K_max
