@@ -151,7 +151,11 @@ class TrinomialTriple(_Checked, namedtuple("TrinomialTriple", "a b c n")):
 
 def truncated2_direct(p: BinomialPair) -> int:
     """U(a, b) = (a + b)**n - a**n - b**n, evaluated directly."""
-    a, b, n = p.a, p.b, p.n
+    return _u2(*p)
+
+
+def _u2(a: int, b: int, n: int) -> int:
+    """U(a, b) from plain ints, the body of truncated2_direct; nothing is checked."""
     return (a + b) ** n - a**n - b**n
 
 
@@ -177,14 +181,14 @@ def truncated2_series(p: BinomialPair, form: str = "mixed") -> int:
     """
     if form not in SERIES_FORMS:
         raise DomainError(f"unknown series form {form!r}; expected one of {SERIES_FORMS}")
-    return _series_forms(p)[SERIES_FORMS.index(form)]
+    return _series_forms(*p)[SERIES_FORMS.index(form)]
 
 
-def _series_forms(p: BinomialPair) -> tuple[int, int, int]:
+def _series_forms(a: int, b: int, n: int) -> tuple[int, int, int]:
     """The three sums of truncated2_series, in SERIES_FORMS order, by one Horner
     loop over _inner_row(n): in a for the mixed form, in q = -(a + b) for the two
-    others, where q carries the signs because n - 2 is odd."""
-    a, b, n = p.a, p.b, p.n
+    others, where q carries the signs because n - 2 is odd.  Like _u2 it takes
+    plain ints and checks none of them; n must be a prime >= 3."""
     q = -(a + b)
     mixed = qa = qb = 0
     ap = bp = 1

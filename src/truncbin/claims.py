@@ -8,6 +8,8 @@ scale.  Sampling is deterministic: every claim seeds its own generator
 from the run seed and its code, so subsets reproduce exactly.  The pair
 sample that six claims share is seeded from the run seed alone; run_claims
 draws it once per run, and a claim run by itself draws the same sample.
+A sweep validates each exponent once, and the claims evaluate U on plain
+ints with the unchecked kernels _u2 and _series_forms, not one record a pair.
 
 Claim II.9 is special: it arbitrates a printed n = 11 expansion whose
 correctness is under test, so it passes by producing a definitive
@@ -30,8 +32,9 @@ from .binomial_core import (
     TrinomialTriple,
     _Checked,
     _series_forms,
+    _u2,
     _u2_residue,
-    truncated2_direct,
+    _validate_exponent,
     truncated3,
 )
 from .compatibility import (
@@ -157,8 +160,10 @@ def _claim_two_term_verdict(rng, scale, seed):
 
 
 def _sweep(samples, check, label):
-    """Run check(sample, n) at every exponent: None passes, a dict of details fails."""
+    """Run check(sample, n) at every exponent, validated once before its samples:
+    None passes, a dict of details fails."""
     for n in IDENTITY_EXPONENTS:
+        _validate_exponent(n)
         for sample in samples:
             failure = check(sample, n)
             if failure is not None:
@@ -168,16 +173,15 @@ def _sweep(samples, check, label):
 
 def _check_series_forms(pair, n):
     a, b = pair
-    p = BinomialPair(a, b, n)
-    direct = truncated2_direct(p)
-    for form, value in zip(SERIES_FORMS, _series_forms(p)):
+    direct = _u2(a, b, n)
+    for form, value in zip(SERIES_FORMS, _series_forms(a, b, n)):
         if value != direct:
             return {"form": form}
 
 
 def _check_divisible(pair, n):
     a, b = pair
-    u = truncated2_direct(BinomialPair(a, b, n))
+    u = _u2(a, b, n)
     if u % 2 != 0:
         return {"odd_value": True}
     if u % n != 0:
@@ -186,13 +190,13 @@ def _check_divisible(pair, n):
 
 def _check_residual(pair, n):
     a, b = pair
-    if (a + b) ** n - truncated2_direct(BinomialPair(a, b, n)) != a**n + b**n:
+    if (a + b) ** n - _u2(a, b, n) != a**n + b**n:
         return {}
 
 
 def _check_decomposition(triple, n):
-    t = TrinomialTriple(*triple, n)
-    if truncated3(t) != truncated2_direct(t.pair_ab()) + truncated2_direct(t.pair_qc()):
+    a, b, c = triple
+    if truncated3(TrinomialTriple(a, b, c, n)) != _u2(a, b, n) + _u2(a + b, c, n):
         return {}
 
 
@@ -208,8 +212,7 @@ def _make_factored_claim(n):
     def body(rng, scale, seed):
         pairs = _shared_pairs(seed, scale.pairs)
         for a, b in pairs:
-            p = BinomialPair(a, b, n)
-            if factored_u2(p) != truncated2_direct(p):
+            if factored_u2(BinomialPair(a, b, n)) != _u2(a, b, n):
                 return False, {"failed_pair": [a, b]}
         # Triples with 2n | a+b+c, the domain of the factored forms.
         for _ in range(scale.triples):
@@ -244,7 +247,7 @@ def _claim_bracket_arbitration(rng, scale, seed):
     mismatches = []
     for _ in range(scale.triples):
         a, b = _draw(rng), _draw(rng)
-        if _printed_u11(a, b) != truncated2_direct(BinomialPair(a, b, 11)):
+        if _printed_u11(a, b) != _u2(a, b, 11):
             mismatches.append((a, b))
     if mismatches:
         canonical = min(mismatches, key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab))
@@ -280,7 +283,7 @@ def _claim_scan_eleven(rng, scale, seed):
     for _ in range(200):
         a = rng.randrange(121)
         b = rng.randrange(121)
-        exact = truncated2_direct(BinomialPair(a, b, 11))
+        exact = _u2(a, b, 11)
         if (exact % 121 == 0) != ((a, b) in witness_set):
             audit_ok = False
             break
@@ -319,7 +322,7 @@ def _claim_quadratic_tables(rng, scale, seed):
         zero_set = set(report.zero_pairs)
         for da in range(1, n):
             for db in range(1, n):
-                v = padic_valuation(truncated2_direct(BinomialPair(da, db, n)), n)
+                v = padic_valuation(_u2(da, db, n), n)
                 lifted = (da + db) % n == 0 or (da, db) in zero_set
                 if (v.exponent >= 2) != lifted:
                     return False, {"cross_check_failed_at": [da, db, n]}
@@ -387,7 +390,7 @@ def _claim_lift_law(rng, scale, seed):
         while a % n == 0:
             a = _draw(rng)
         b = n * rng.randint(-PAIR_BOUND // n, PAIR_BOUND // n) - a
-        v = padic_valuation(truncated2_direct(BinomialPair(a, b, n)), n)
+        v = padic_valuation(_u2(a, b, n), n)
         if not v.exponent >= 2:
             return False, {"failed_at": [a, b, n], "exponent": v.exponent}
     return True, {"pairs": scale.triples}

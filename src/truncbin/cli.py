@@ -221,7 +221,7 @@ def cmd_compute(args):
         u = truncated2_direct(p)
         payload = {"u": u}
         if args.all_forms:
-            payload["forms"] = {"direct": u, **dict(zip(SERIES_FORMS, _series_forms(p)))}
+            payload["forms"] = {"direct": u, **dict(zip(SERIES_FORMS, _series_forms(*p)))}
     return _echo(args), payload
 
 

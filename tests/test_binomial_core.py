@@ -27,7 +27,8 @@ from truncbin import (
     truncated3_terms,
     u2_mod,
 )
-from truncbin.binomial_core import _EXPONENTS, _inner_row
+from truncbin.binomial_core import _EXPONENTS, _inner_row, _series_forms, _u2
+from truncbin.claims import IDENTITY_EXPONENTS
 
 EXPONENTS = (3, 5, 7, 11, 13)
 
@@ -257,6 +258,23 @@ def test_series_forms_agree_with_direct_oracle():
                 value = truncated2_series(p, form)
                 assert value == expected, (a, b, n, form)
                 assert value == series_oracle(a, b, n, form), (a, b, n, form)
+
+
+# The kernels the catalog's sweeps call on plain ints, at the catalog's exponents
+# and past them: a zero pair, cancelling pairs, the corners of the sample box.
+KERNEL_PAIRS = [(0, 0), (1, -1), (-7, 7), (10**6, -(10**6))] + [
+    (x * 10**6, y * 10**6) for x in (1, -1) for y in (1, -1)
+]
+
+
+@pytest.mark.parametrize("n", IDENTITY_EXPONENTS + (101,))
+def test_int_kernels_match_term_sums_and_the_record_functions(n):
+    for a, b in KERNEL_PAIRS + sample_pairs(50, seed=f"kernels:{n}"):
+        p = BinomialPair(a, b, n)
+        terms = tuple(series_oracle(a, b, n, form) for form in SERIES_FORMS)
+        assert _u2(a, b, n) == terms[0] == truncated2_direct(p), (a, b, n)
+        assert _series_forms(a, b, n) == terms, (a, b, n)
+        assert terms == tuple(truncated2_series(p, form) for form in SERIES_FORMS), (a, b, n)
 
 
 def test_u2_even_divisible_symmetric():

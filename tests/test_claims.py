@@ -24,6 +24,7 @@ from truncbin.claims import (
     run_claims,
 )
 from truncbin.compatibility import Verdict, VerdictKind
+from truncbin.errors import DomainError
 
 
 def failure(code):
@@ -38,8 +39,8 @@ def off_by_one(fn):
 
 
 def test_series_form_failure_names_pair_exponent_and_form(monkeypatch):
-    def forms(p):
-        return tuple(value + 1 for value in binomial_core._series_forms(p))
+    def forms(a, b, n):
+        return tuple(value + 1 for value in binomial_core._series_forms(a, b, n))
 
     monkeypatch.setattr(claims, "_series_forms", forms)
     assert failure("I.2") == {"failed_at": [0, 0, 3], "form": "mixed"}
@@ -47,13 +48,29 @@ def test_series_form_failure_names_pair_exponent_and_form(monkeypatch):
 
 def test_series_form_failure_scans_every_pair_before_the_next_exponent(monkeypatch):
     # The shared sample opens with (0, 0), (0, 5), (1, -1), (-1, -1), (1, 1).
-    def forms(p):
-        mixed, q_minus_a, q_minus_b = binomial_core._series_forms(p)
-        broken = (p.a, p.b, p.n) == (-1, -1, 5) or (p.a, p.b, p.n) == (1, -1, 7)
+    def forms(a, b, n):
+        mixed, q_minus_a, q_minus_b = binomial_core._series_forms(a, b, n)
+        broken = (a, b, n) == (-1, -1, 5) or (a, b, n) == (1, -1, 7)
         return mixed, q_minus_a, q_minus_b + broken
 
     monkeypatch.setattr(claims, "_series_forms", forms)
     assert failure("I.2") == {"failed_at": [-1, -1, 5], "form": "q_minus_b"}
+
+
+@pytest.mark.parametrize("code", ["I.2", "I.div", "I.res", "II.2"])
+def test_sweep_refuses_a_composite_exponent_before_its_samples(monkeypatch, code):
+    # _sweep validates each exponent once; its checks evaluate U on unchecked ints.
+    exponents = []
+
+    def u2(a, b, n):
+        exponents.append(n)
+        return binomial_core._u2(a, b, n)
+
+    monkeypatch.setattr(claims, "IDENTITY_EXPONENTS", (3, 9))
+    monkeypatch.setattr(claims, "_u2", u2)
+    with pytest.raises(DomainError, match="exponent must be a prime >= 3, got 9"):
+        run_claim(code)
+    assert set(exponents) == {3}
 
 
 def test_draw_takes_the_stream_of_randrange():
@@ -78,12 +95,12 @@ def test_draw_takes_the_stream_of_randrange():
 
 @pytest.mark.parametrize("value, condition", [(1, "odd_value"), (2, "not_divisible_by_n")])
 def test_even_and_divisible_failure_names_the_condition(monkeypatch, value, condition):
-    monkeypatch.setattr(claims, "truncated2_direct", lambda p: value)
+    monkeypatch.setattr(claims, "_u2", lambda a, b, n: value)
     assert failure("I.div") == {"failed_at": [0, 0, 3], condition: True}
 
 
 def test_residual_failure_names_pair_and_exponent(monkeypatch):
-    monkeypatch.setattr(claims, "truncated2_direct", off_by_one(binomial_core.truncated2_direct))
+    monkeypatch.setattr(claims, "_u2", off_by_one(binomial_core._u2))
     assert failure("I.res") == {"failed_at": [0, 0, 3]}
 
 
@@ -210,7 +227,7 @@ def test_run_claims_draws_the_shared_sample_once_and_drops_it(monkeypatch):
 
 def test_scan_audit_failure_leaves_the_other_conditions(monkeypatch):
     expected = {**untimed(run_claim("II.A4")), "audit_ok": False}
-    monkeypatch.setattr(claims, "truncated2_direct", off_by_one(binomial_core.truncated2_direct))
+    monkeypatch.setattr(claims, "_u2", off_by_one(binomial_core._u2))
     result = run_claim("II.A4")
     assert not result.passed
     assert untimed(result) == expected
@@ -289,14 +306,14 @@ def test_lift_failure_names_pair_exponent_and_valuation(monkeypatch):
 
 
 def recorded_pairs(monkeypatch, code):
-    """The pairs claims.truncated2_direct receives while code runs at FULL scale."""
+    """The (a, b, n) that claims._u2 receives while code runs at FULL scale."""
     seen = []
 
-    def recorded(p):
-        seen.append(tuple(p))
-        return binomial_core.truncated2_direct(p)
+    def recorded(a, b, n):
+        seen.append((a, b, n))
+        return binomial_core._u2(a, b, n)
 
-    monkeypatch.setattr(claims, "truncated2_direct", recorded)
+    monkeypatch.setattr(claims, "_u2", recorded)
     assert run_claim(code, FULL).passed
     return seen
 
