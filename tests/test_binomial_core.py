@@ -28,7 +28,6 @@ from truncbin import (
     u2_mod,
 )
 from truncbin.binomial_core import _EXPONENTS, _inner_row, _series_forms, _u2
-from truncbin.claims import IDENTITY_EXPONENTS
 
 EXPONENTS = (3, 5, 7, 11, 13)
 
@@ -237,14 +236,17 @@ def test_truncated2_series_unknown_form():
         truncated2_series(BinomialPair(1, 1, 3), "sideways")
 
 
-# Pairs with a zero, with a = -b, with negative values and with |a| near 1e20.
+# Pairs with a zero, with a = -b, with negative values, with |a| near 1e20, and the
+# corners of the catalog's sample box.
 EDGE_PAIRS = [
     (0, 7), (7, 0), (0, -3), (5, -5), (-10**20, 10**20), (-4, -9),
     (10**20 + 1, 3), (-(10**20) + 7, -2), (10**20, -(10**19)),
-]
+] + [(x * 10**6, y * 10**6) for x in (1, -1) for y in (1, -1)]
 
 
 def test_series_forms_agree_with_direct_oracle():
+    # The records' functions and the unchecked int kernels the catalog's sweeps
+    # call, each against the power expansion and the per-term sums.
     cases = [(n, sample_pairs(200, seed=f"forms:{n}") + EDGE_PAIRS) for n in EXPONENTS]
     cases += [(n, sample_pairs(3, seed=f"forms:{n}") + EDGE_PAIRS) for n in (17, 101)]
     # series_oracle takes seconds per pair near 1e20 at n = 1009, so small pairs only.
@@ -253,28 +255,11 @@ def test_series_forms_agree_with_direct_oracle():
         for a, b in pairs:
             p = BinomialPair(a, b, n)
             expected = u2_oracle(a, b, n)
-            assert truncated2_direct(p) == expected
-            for form in SERIES_FORMS:
+            assert truncated2_direct(p) == _u2(a, b, n) == expected
+            for form, kernel_value in zip(SERIES_FORMS, _series_forms(a, b, n)):
                 value = truncated2_series(p, form)
-                assert value == expected, (a, b, n, form)
+                assert value == kernel_value == expected, (a, b, n, form)
                 assert value == series_oracle(a, b, n, form), (a, b, n, form)
-
-
-# The kernels the catalog's sweeps call on plain ints, at the catalog's exponents
-# and past them: a zero pair, cancelling pairs, the corners of the sample box.
-KERNEL_PAIRS = [(0, 0), (1, -1), (-7, 7), (10**6, -(10**6))] + [
-    (x * 10**6, y * 10**6) for x in (1, -1) for y in (1, -1)
-]
-
-
-@pytest.mark.parametrize("n", IDENTITY_EXPONENTS + (101,))
-def test_int_kernels_match_term_sums_and_the_record_functions(n):
-    for a, b in KERNEL_PAIRS + sample_pairs(50, seed=f"kernels:{n}"):
-        p = BinomialPair(a, b, n)
-        terms = tuple(series_oracle(a, b, n, form) for form in SERIES_FORMS)
-        assert _u2(a, b, n) == terms[0] == truncated2_direct(p), (a, b, n)
-        assert _series_forms(a, b, n) == terms, (a, b, n)
-        assert terms == tuple(truncated2_series(p, form) for form in SERIES_FORMS), (a, b, n)
 
 
 def test_u2_even_divisible_symmetric():
